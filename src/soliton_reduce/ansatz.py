@@ -70,13 +70,22 @@ class InvarianceClass:
     center: np.ndarray | None = None     # pseudo-rotational: center point
 
 
+def xi_values(a: QuadricAnsatz, xs: np.ndarray) -> np.ndarray:
+    """xi at every point of `xs`, an array of shape (..., n)."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1:] != (a.n,):
+        raise ValueError("point dimension mismatch")
+    return np.sum(a.tau * a.sig.eps * xs ** 2 + a.alpha * xs + a.beta,
+                  axis=-1)
+
+
 def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
     """Exact 2-jet of xi at the point x."""
     x = np.asarray(x, dtype=float)
     if x.shape != (a.n,):
         raise ValueError("point dimension mismatch")
     eps = a.sig.eps
-    value = float(np.sum(a.tau * eps * x ** 2 + a.alpha * x + a.beta))
+    value = float(xi_values(a, x))
     grad = 2.0 * a.tau * eps * x + a.alpha
     hess = np.diag(2.0 * a.tau * eps)
     return ScalarJet2(value, grad, hess)

@@ -59,6 +59,12 @@ def _require(cond: bool, msg: str, errors: list[str]) -> bool:
     return cond
 
 
+def _finite(v) -> bool:
+    """A finite JSON number: booleans, NaN and +-Infinity do not count."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -104,39 +110,47 @@ def resolve_config(raw: dict) -> dict:
 
     for key, default in (("tau", 0.0), ("lambda", 0.0)):
         cfg.setdefault(key, default)
-        _require(isinstance(cfg[key], (int, float)),
-                 f"{key}: number required", errors)
+        _require(_finite(cfg[key]), f"{key}: finite number required",
+                 errors)
 
     span = cfg.get("xi_span")
     if mode in ("theorem2", "theorem3") or span is not None:
         ok = (isinstance(span, list) and len(span) == 2
-              and all(isinstance(v, (int, float)) for v in span)
-              and span[0] != span[1])
-        _require(ok, "xi_span: [start, end] with start != end required",
-                 errors)
+              and all(_finite(v) for v in span) and span[0] != span[1])
+        _require(ok, "xi_span: [start, end], finite, with start != end "
+                 "required", errors)
 
     tols = dict(cfg.get("tolerances") or {})
     tols.setdefault("rel_tol", 1e-10)
     tols.setdefault("abs_tol", 1e-12)
     tols.setdefault("max_step", None)
     for key in ("rel_tol", "abs_tol"):
-        _require(isinstance(tols[key], (int, float)) and tols[key] > 0,
-                 f"tolerances.{key}: positive number required", errors)
+        _require(_finite(tols[key]) and tols[key] > 0,
+                 f"tolerances.{key}: positive finite number required",
+                 errors)
+    _require(tols["max_step"] is None
+             or (_finite(tols["max_step"]) and tols["max_step"] > 0),
+             "tolerances.max_step: null or positive finite number required",
+             errors)
     cfg["tolerances"] = tols
 
     initial = cfg.get("initial")
     if mode == "theorem2":
         needed = ("phi0", "dphi0", "f0", "df0")
         ok = isinstance(initial, dict) and all(
-            isinstance(initial.get(k), (int, float)) for k in needed)
-        _require(ok, f"initial: dict with numeric {needed} required", errors)
+            _finite(initial.get(k)) for k in needed)
+        _require(ok, f"initial: dict with finite numbers {needed} required",
+                 errors)
     elif mode == "theorem3":
         needed = ("c1", "c2", "h0")
         ok = isinstance(initial, dict) and all(
-            isinstance(initial.get(k), (int, float)) for k in needed)
-        _require(ok, f"initial: dict with numeric {needed} required", errors)
+            _finite(initial.get(k)) for k in needed)
+        _require(ok, f"initial: dict with finite numbers {needed} required",
+                 errors)
         if ok:
             initial.setdefault("f0", 0.0)
+            _require(_finite(initial["f0"]),
+                     "initial.f0: finite number required", errors)
             _require(initial["h0"] > 0, "initial.h0: must be positive",
                      errors)
 
@@ -245,10 +259,9 @@ def write_profile_csv(path: str | Path, cfg: dict, prof: Profile) -> None:
                  f"mode={cfg['mode']}\n")
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for xi in xis:
-            s = prof.sample(float(xi))
-            writer.writerow([repr(float(v)) for v in (s.xi, s.phi, s.dphi,
-                                                      s.f, s.df)])
+        phi, dphi, _, f, df, _ = prof.evaluate(xis)
+        for row in zip(xis, phi, dphi, f, df):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def _termination_dict(prof: Profile) -> dict:

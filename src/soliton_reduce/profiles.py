@@ -1,9 +1,16 @@
 """Profiles: solutions (phi, f) as functions of the reduction variable xi.
 
-A profile supplies values and first/second derivatives of phi and f at any
-xi in its domain. Closed-form gallery entries and numerically integrated
-solutions share this interface, so lifting to ambient jets and residual
-verification never care where a profile came from.
+A profile supplies values and first/second derivatives of phi and f over
+its xi-domain through one array-native call,
+
+    phi, dphi, ddphi, f, df, ddf = prof.evaluate(xis)
+
+where every returned array has the shape of ``xis``. ``prof.sample(xi)`` is
+the one-point form, returning a :class:`ProfileSample`. Closed-form gallery
+entries, numerically integrated solutions and CSV node data share this
+interface, so lifting to ambient jets and residual verification never care
+where a profile came from; callers evaluate whole batches of xi at once
+(sampling filters, residual kernels, the FD oracle's stencils, CSV rows).
 """
 
 from __future__ import annotations
@@ -43,49 +50,65 @@ class Termination:
 
 
 class Profile:
-    """Interface: callable profile data over an open xi-interval."""
+    """Interface: profile data over a closed xi-interval.
+
+    Subclasses implement :meth:`evaluate`; :meth:`sample` is its one-point
+    form.
+    """
 
     xi_min: float
     xi_max: float
     termination: Termination
 
-    def sample(self, xi: float) -> ProfileSample:
+    def evaluate(self, xis) -> tuple[np.ndarray, ...]:
+        """Arrays (phi, dphi, ddphi, f, df, ddf), each shaped like `xis`.
+
+        Raises OutOfDomain when any xi lies outside [xi_min, xi_max]. Where
+        the reduced equations are not evaluable (|phi| or |4 tau xi + L| at
+        its guard, h <= 0) the derived entries are NaN.
+        """
         raise NotImplementedError
 
-    def _check_domain(self, xi: float) -> None:
-        if not (self.xi_min <= xi <= self.xi_max):
-            raise OutOfDomain(
-                f"xi = {xi} outside [{self.xi_min}, {self.xi_max}]"
-            )
+    def sample(self, xi: float) -> ProfileSample:
+        return ProfileSample(xi, *(float(v[0]) for v in
+                                   self.evaluate(np.array([xi], dtype=float))))
 
-    def sample_many(self, xis) -> list[ProfileSample]:
-        return [self.sample(float(x)) for x in np.asarray(xis, dtype=float)]
+    def _check_domain(self, xis) -> np.ndarray:
+        """`xis` as a float array, once every entry is inside the domain."""
+        xis = np.asarray(xis, dtype=float)
+        inside = (self.xi_min <= xis) & (xis <= self.xi_max)
+        if not np.all(inside):
+            bad = xis[~inside].flat[0]
+            raise OutOfDomain(
+                f"xi = {bad} outside [{self.xi_min}, {self.xi_max}]"
+            )
+        return xis
 
 
 class ClosedFormProfile(Profile):
-    """Profile defined by analytic callables for phi, f and derivatives."""
+    """Profile defined by analytic callables for phi, f and derivatives.
 
-    def __init__(self, phi: Callable[[float], float],
-                 dphi: Callable[[float], float],
-                 ddphi: Callable[[float], float],
-                 f: Callable[[float], float],
-                 df: Callable[[float], float],
-                 ddf: Callable[[float], float],
+    Each callable maps an array of xi to values; a callable returning a
+    constant is broadcast.
+    """
+
+    def __init__(self, phi: Callable[[np.ndarray], np.ndarray],
+                 dphi: Callable[[np.ndarray], np.ndarray],
+                 ddphi: Callable[[np.ndarray], np.ndarray],
+                 f: Callable[[np.ndarray], np.ndarray],
+                 df: Callable[[np.ndarray], np.ndarray],
+                 ddf: Callable[[np.ndarray], np.ndarray],
                  domain: tuple[float, float] = (-math.inf, math.inf),
                  name: str = "closed_form"):
-        self._phi, self._dphi, self._ddphi = phi, dphi, ddphi
-        self._f, self._df, self._ddf = f, df, ddf
+        self._fns = (phi, dphi, ddphi, f, df, ddf)
         self.xi_min, self.xi_max = domain
         self.name = name
         self.termination = Termination(kind="closed_form")
 
-    def sample(self, xi: float) -> ProfileSample:
-        self._check_domain(xi)
-        return ProfileSample(
-            xi=xi,
-            phi=self._phi(xi), dphi=self._dphi(xi), ddphi=self._ddphi(xi),
-            f=self._f(xi), df=self._df(xi), ddf=self._ddf(xi),
-        )
+    def evaluate(self, xis) -> tuple[np.ndarray, ...]:
+        xis = self._check_domain(xis)
+        return tuple(np.full(xis.shape, fn(xis), dtype=float)
+                     for fn in self._fns)
 
 
 def lift(a: QuadricAnsatz, prof: Profile,

@@ -39,7 +39,10 @@ TOL_SING = 1e-10
 
 @dataclass(frozen=True)
 class ReducedState:
-    """State of the second-order system as a first-order vector."""
+    """State of the second-order system as a first-order vector.
+
+    The fields are floats, or equal-shape arrays for a batch of states.
+    """
 
     xi: float
     phi: float
@@ -52,7 +55,7 @@ class ReducedState:
 
     @classmethod
     def from_vector(cls, xi: float, y: np.ndarray) -> "ReducedState":
-        return cls(xi, float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+        return cls(xi, *y.tolist())
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,21 @@ def reduced_rhs(p: SolitonProblem,
 
     The diagonal equation is linear in phi'' with coefficient
     phi * (4 tau xi + L); the first equation then yields f''.
+
+    The fields of `s` are floats (one state, as the integrator calls it) or
+    arrays (many states, as :meth:`ReducedProfile.evaluate` calls it). A
+    float state at a guard raises DomainError, which the integrator treats
+    as a rejected step; array entries at a guard get NaN phi'' and f''.
     """
     check_null_direction(p)
-    if abs(s.phi) <= TOL_PHI:
-        raise DegenerateConformalFactor(f"|phi| = {abs(s.phi):.3e} at guard")
     tau = p.ansatz.tau
     big_t = 4.0 * tau * s.xi + p.lambda_constant
-    if abs(big_t) <= TOL_SING:
+    if isinstance(s.phi, np.ndarray):
+        big_t = np.where((np.abs(s.phi) <= TOL_PHI)
+                         | (np.abs(big_t) <= TOL_SING), np.nan, big_t)
+    elif abs(s.phi) <= TOL_PHI:
+        raise DegenerateConformalFactor(f"|phi| = {abs(s.phi):.3e} at guard")
+    elif abs(big_t) <= TOL_SING:
         raise SingularLocus(
             f"|4*tau*xi + Lambda| = {abs(big_t):.3e} at xi = {s.xi}"
         )
@@ -135,17 +146,28 @@ def reduced_rhs(p: SolitonProblem,
     return s.dphi, ddphi, s.df, ddf
 
 
-def special_rhs(p: SolitonProblem, sp: SpecialParams,
-                xi: float, h: float) -> float:
+def positive_h(h, xi=None):
+    """h for h > 0; else NonPositiveH for a float, NaN entries for an array."""
+    if isinstance(h, np.ndarray):
+        return np.where(h > 0.0, h, np.nan)
+    if h <= 0.0:
+        raise NonPositiveH(f"h = {h}" if xi is None
+                           else f"h = {h} at xi = {xi}")
+    return h
+
+
+def special_rhs(p: SolitonProblem, sp: SpecialParams, xi, h):
     """h' for the constrained branch, h = phi^2.
 
     (n-1) h' + c1 h^(-(n-2)/(n+2)) = c2 (4 tau xi + L) + lambda/(2 tau).
+
+    Floats or arrays, as in :func:`reduced_rhs`: h <= 0 raises for a float
+    and gives NaN for array entries.
     """
     tau = p.ansatz.tau
     if tau == 0.0:
         raise RequiresNonzeroTau("lambda/(2*tau) undefined at tau = 0")
-    if h <= 0.0:
-        raise NonPositiveH(f"h = {h} at xi = {xi}")
+    h = positive_h(h, xi)
     n = p.n
     expo = (n - 2) / (n + 2)
     big_t = 4.0 * tau * xi + p.lambda_constant
@@ -153,27 +175,27 @@ def special_rhs(p: SolitonProblem, sp: SpecialParams,
             - sp.c1 * h ** (-expo)) / (n - 1)
 
 
-def special_f_prime(sp: SpecialParams, n: int, h: float) -> float:
+def special_f_prime(sp: SpecialParams, n: int, h):
     """f' = c1 * h^(-2n/(n+2)) along the constrained branch."""
-    if h <= 0.0:
-        raise NonPositiveH(f"h = {h}")
-    return sp.c1 * h ** (-2.0 * n / (n + 2))
+    return sp.c1 * positive_h(h) ** (-2.0 * n / (n + 2))
 
 
 def special_second_derivatives(p: SolitonProblem, sp: SpecialParams,
-                               xi: float, h: float) -> tuple[float, float]:
+                               xi, h) -> tuple:
     """(phi'', f'') reconstructed from h along the constrained branch.
 
     h'' comes from differentiating the first-order relation; then
     phi phi'' = h''/2 - phi'^2 and f'' = -2n/(n+2) c1 h^(-2n/(n+2)-1) h'.
+    Floats or arrays, as :func:`special_rhs`.
     """
     n = p.n
     tau = p.ansatz.tau
     expo = (n - 2) / (n + 2)
+    h = positive_h(h, xi)
     dh = special_rhs(p, sp, xi, h)
     ddh = (4.0 * tau * sp.c2
            + sp.c1 * expo * h ** (-expo - 1.0) * dh) / (n - 1)
-    phi = math.sqrt(h)
+    phi = np.sqrt(h)
     dphi = dh / (2.0 * phi)
     ddphi = (0.5 * ddh - dphi ** 2) / phi
     ddf = -2.0 * n / (n + 2) * sp.c1 * h ** (-2.0 * n / (n + 2) - 1.0) * dh
@@ -241,10 +263,10 @@ def _cigar(n=2, lam=0.0, tau=1.0) -> GalleryEntry:
     sig = Signature.riemannian(2)
     problem = SolitonProblem(sig, _default_ansatz(sig, tau), 0.0)
     prof = ClosedFormProfile(
-        phi=lambda xi: math.sqrt(1.0 + xi),
-        dphi=lambda xi: 0.5 / math.sqrt(1.0 + xi),
+        phi=lambda xi: np.sqrt(1.0 + xi),
+        dphi=lambda xi: 0.5 / np.sqrt(1.0 + xi),
         ddphi=lambda xi: -0.25 * (1.0 + xi) ** -1.5,
-        f=lambda xi: -math.log(1.0 + xi),
+        f=lambda xi: -np.log(1.0 + xi),
         df=lambda xi: -1.0 / (1.0 + xi),
         ddf=lambda xi: (1.0 + xi) ** -2.0,
         domain=(-1.0 + 1e-12, math.inf),
@@ -278,20 +300,23 @@ def _space_form(b1=1.0, b2=1.0, tau=1.0, n=3, eps=None,
 
 
 def _antiderivative_reciprocal_quadratic(a: float, b: float, c: float):
-    """Antiderivative of 1/(a x^2 + b x + c) on a component where it is > 0."""
+    """Antiderivative of 1/(a x^2 + b x + c) on a component where it is > 0.
+
+    The returned function takes floats or arrays.
+    """
     if a == 0.0 and b == 0.0:
         return lambda x: x / c
     if a == 0.0:
-        return lambda x: math.log(abs(b * x + c)) / b
+        return lambda x: np.log(np.abs(b * x + c)) / b
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         root = math.sqrt(-disc)
-        return lambda x: 2.0 / root * math.atan((2.0 * a * x + b) / root)
+        return lambda x: 2.0 / root * np.arctan((2.0 * a * x + b) / root)
     if disc == 0.0:
         return lambda x: -2.0 / (2.0 * a * x + b)
     root = math.sqrt(disc)
-    return lambda x: (1.0 / root) * math.log(
-        abs((2.0 * a * x + b - root) / (2.0 * a * x + b + root)))
+    return lambda x: (1.0 / root) * np.log(
+        np.abs((2.0 * a * x + b - root) / (2.0 * a * x + b + root)))
 
 
 def _positive_component(a: float, b: float, c: float,
@@ -334,7 +359,7 @@ def _n2_polynomial(c1=0.0, c2=0.0, c3=1.0, tau=1.0, lam=0.0, eps=None,
     c = c3
     domain = _positive_component(a, b, c, xi_anchor)
     prim = _antiderivative_reciprocal_quadratic(a, b, c)
-    f_off = f0 - c1 * prim(xi_anchor)
+    f_off = f0 - c1 * float(prim(xi_anchor))
 
     def h(xi):
         return (a * xi + b) * xi + c
@@ -343,7 +368,7 @@ def _n2_polynomial(c1=0.0, c2=0.0, c3=1.0, tau=1.0, lam=0.0, eps=None,
         return 2.0 * a * xi + b
 
     def phi(xi):
-        return math.sqrt(h(xi))
+        return np.sqrt(h(xi))
 
     def dphi(xi):
         return dh(xi) / (2.0 * phi(xi))
@@ -358,7 +383,7 @@ def _n2_polynomial(c1=0.0, c2=0.0, c3=1.0, tau=1.0, lam=0.0, eps=None,
         ddf=lambda xi: -c1 * dh(xi) / h(xi) ** 2,
         domain=domain, name="n2_polynomial",
     )
-    special = SpecialParams(c1=c1, c2=c2, h0=h(xi_anchor), f0=f0)
+    special = SpecialParams(c1=c1, c2=c2, h0=float(h(xi_anchor)), f0=f0)
     return GalleryEntry("n2_polynomial", problem, prof,
                         dict(c1=c1, c2=c2, c3=c3, tau=tau, lam=lam,
                              f0=f0, xi_anchor=xi_anchor), special=special)

@@ -89,38 +89,39 @@ class IntegrationConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) for t in self.xi_span):
+            raise ValueError("xi_span must be finite")
         if self.xi_span[0] == self.xi_span[1]:
             raise ValueError("xi_span must be non-degenerate")
         if self.max_step <= 0:
             raise ValueError("max_step must be positive")
 
 
-@dataclass(frozen=True)
-class DenseSegment:
-    """Quartic interpolant over one accepted step."""
-
-    t0: float
-    h: float
-    y0: np.ndarray
-    q: np.ndarray  # shape (ny, 4)
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
-
-    def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = theta ** np.arange(1, 5)
-        return self.y0 + self.h * (self.q @ powers)
+def _interpolate(t0, h, y0, q, t):
+    """Quartic dense output y0 + h * q @ (theta, theta^2, theta^3, theta^4)
+    with theta = (t - t0) / h; every argument may carry leading batch axes
+    (one step's interpolant per query)."""
+    theta = np.asarray((t - t0) / h)
+    powers = theta[..., None] ** np.arange(1, 5)
+    return y0 + np.asarray(h)[..., None] * (q @ powers[..., None])[..., 0]
 
 
 @dataclass
 class RawSolution:
-    """Node states plus dense output of one integration run."""
+    """Node states plus dense output of one integration run.
+
+    Step i of the dense output starts at ``seg_t0[i]`` with signed length
+    ``seg_h[i]`` and state ``seg_y0[i]``; ``seg_q[i]`` (shape (ny, 4)) holds
+    its quartic coefficients. Steps are ordered along the integration
+    direction.
+    """
 
     ts: np.ndarray
     ys: np.ndarray
-    segments: list[DenseSegment]
+    seg_t0: np.ndarray
+    seg_h: np.ndarray
+    seg_y0: np.ndarray
+    seg_q: np.ndarray
     termination: Termination
     n_accepted: int = 0
     n_rejected: int = 0
@@ -134,19 +135,28 @@ class RawSolution:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    def eval(self, t: float) -> np.ndarray:
+    def eval(self, t):
+        """State at t, a float (shape (ny,)) or an array (shape (m, ny)).
+
+        Each t is served by the first step whose end is at or past t in the
+        integration direction, the last step when none is.
+        """
+        t_arr = np.asarray(t, dtype=float)
         lo = min(self.t_start, self.t_end)
         hi = max(self.t_start, self.t_end)
-        if not (lo <= t <= hi):
+        if not np.all((lo <= t_arr) & (t_arr <= hi)):
             raise ValueError(f"t = {t} outside integrated range [{lo}, {hi}]")
-        if not self.segments:
-            return self.ys[0].copy()
-        # Segments are ordered along the integration direction.
-        direction = math.copysign(1.0, self.segments[0].h)
-        for seg in self.segments:
-            if (t - seg.t1) * direction <= 0.0:
-                return seg.eval(t)
-        return self.segments[-1].eval(t)
+        if self.seg_h.size == 0:
+            return np.broadcast_to(self.ys[0], t_arr.shape + self.ys[0].shape
+                                   ).copy()
+        t1 = self.seg_t0 + self.seg_h
+        if self.seg_h[0] < 0.0:  # ends decrease: search the negated ones
+            t1, t_key = -t1, -t_arr
+        else:
+            t_key = t_arr
+        i = np.minimum(np.searchsorted(t1, t_key), t1.size - 1)
+        return _interpolate(self.seg_t0[i], self.seg_h[i], self.seg_y0[i],
+                            self.seg_q[i], t_arr)
 
 
 def _rms_norm(e: np.ndarray) -> float:
@@ -186,13 +196,14 @@ def _attempt_step(f, t, y, h):
     return y_new, k[6], err, k
 
 
-def _bisect_event(g, seg: DenseSegment, t_lo: float, t_hi: float) -> float:
-    """Largest t (toward t_lo) with g > 0; bracket g(t_lo) > 0 >= g(t_hi)."""
+def _bisect_event(g, step, t_lo: float, t_hi: float) -> float:
+    """Largest t (toward t_lo) with g > 0 on the interpolant of `step`
+    (t0, h, y0, q); bracket g(t_lo) > 0 >= g(t_hi)."""
     for _ in range(200):
         if abs(t_hi - t_lo) <= _EVENT_XTOL:
             break
         tm = 0.5 * (t_lo + t_hi)
-        if g(tm, seg.eval(tm)) > 0.0:
+        if g(tm, _interpolate(*step, tm)) > 0.0:
             t_lo = tm
         else:
             t_hi = tm
@@ -216,9 +227,18 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
 
     ts = [t0]
     ys = [y.copy()]
-    segments: list[DenseSegment] = []
+    steps: list[tuple] = []  # (t0, h, y0, q) of each accepted step
     n_accepted = 0
     n_rejected = 0
+
+    def solution(termination: Termination) -> RawSolution:
+        ny = y.size
+        return RawSolution(
+            np.array(ts), np.array(ys),
+            np.array([s[0] for s in steps]), np.array([s[1] for s in steps]),
+            np.array([s[2] for s in steps]).reshape(-1, ny),
+            np.array([s[3] for s in steps]).reshape(-1, ny, 4),
+            termination, n_accepted, n_rejected, n_fev)
 
     if cfg.fixed_step is not None:
         h_signed = direction * abs(cfg.fixed_step)
@@ -229,14 +249,12 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                 h_step = tf - t
             y_new, f_now, _, k = _attempt_step(f, t, y, h_step)
             n_fev += 7
-            segments.append(DenseSegment(t, h_step, y.copy(), k.T @ _P))
+            steps.append((t, h_step, y.copy(), k.T @ _P))
             t, y = t + h_step, y_new
             ts.append(t)
             ys.append(y.copy())
             n_accepted += 1
-        term = Termination(kind="completed", xi_stop=t)
-        return RawSolution(np.array(ts), np.array(ys), segments, term,
-                           n_accepted, n_rejected, n_fev)
+        return solution(Termination(kind="completed", xi_stop=t))
 
     span = abs(tf - t0)
     h = cfg.first_step or _initial_step(f, t0, y, f_now, direction,
@@ -251,7 +269,7 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             termination = Termination(kind="completed", xi_stop=t)
             break
         h_min = 1e-14 * max(1.0, abs(t))
-        if h < h_min:
+        if not h >= h_min:  # a NaN step size underflows too
             if domain_failures >= 3:
                 # The RHS keeps failing arbitrarily close to the current
                 # node: terminate here with a domain event.
@@ -277,12 +295,13 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y),
                                                        np.abs(y_new))
         err = _rms_norm(err_vec / scale)
-        if err > 1.0:
+        # A non-finite trial state makes the norm NaN: reject, don't accept.
+        if not err <= 1.0:
             n_rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / ORDER))
             continue
 
-        seg = DenseSegment(t, h_signed, y.copy(), k.T @ _P)
+        step = (t, h_signed, y.copy(), k.T @ _P)
         t_new = t + h_signed
 
         # Event detection at the step endpoint (sign-based: events stay
@@ -290,13 +309,13 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
         fired = None
         for ev in cfg.events:
             if ev.g(t_new, y_new) <= 0.0:
-                t_stop = _bisect_event(ev.g, seg, t, t_new)
+                t_stop = _bisect_event(ev.g, step, t, t_new)
                 if fired is None or (t_stop - fired[1]) * direction < 0.0:
                     fired = (ev, t_stop)
         if fired is not None:
             ev, t_stop = fired
-            y_stop = seg.eval(t_stop) if t_stop != t else y.copy()
-            segments.append(seg)
+            y_stop = _interpolate(*step, t_stop) if t_stop != t else y.copy()
+            steps.append(step)
             ts.append(t_stop)
             ys.append(y_stop)
             n_accepted += 1
@@ -304,7 +323,7 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
                                       xi_stop=t_stop)
             break
 
-        segments.append(seg)
+        steps.append(step)
         t, y, f_now = t_new, y_new, f_new
         ts.append(t)
         ys.append(y.copy())
@@ -313,8 +332,7 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray],
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / ORDER)))
         h = h * factor
 
-    return RawSolution(np.array(ts), np.array(ys), segments, termination,
-                       n_accepted, n_rejected, n_fev)
+    return solution(termination)
 
 
 def convergence_order(f: Callable[[float, np.ndarray], np.ndarray],

@@ -15,17 +15,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ProfileMalformed
 from .geometry import TOL_PHI
-from .profiles import Profile, ProfileSample
+from .profiles import Profile
 from .reduction import (
     TOL_SING,
     ReducedState,
     SolitonProblem,
     SpecialParams,
     check_null_direction,
+    positive_h,
     reduced_rhs,
     special_f_prime,
     special_rhs,
@@ -61,13 +61,12 @@ class ReducedProfile(Profile):
     def states(self) -> np.ndarray:
         return self.solution.ys
 
-    def sample(self, xi: float) -> ProfileSample:
-        self._check_domain(xi)
-        y = self.solution.eval(xi)
-        state = ReducedState.from_vector(xi, y)
+    def evaluate(self, xis) -> tuple[np.ndarray, ...]:
+        xis = self._check_domain(xis)
+        phi, dphi, f, df = np.moveaxis(self.solution.eval(xis), -1, 0)
+        state = ReducedState(xis, phi, dphi, f, df)
         _, ddphi, _, ddf = reduced_rhs(self.problem, state)
-        return ProfileSample(xi=xi, phi=state.phi, dphi=state.dphi,
-                             ddphi=ddphi, f=state.f, df=state.df, ddf=ddf)
+        return phi, dphi, ddphi, f, df, ddf
 
 
 class SpecialProfile(Profile):
@@ -85,17 +84,17 @@ class SpecialProfile(Profile):
     def nodes(self) -> np.ndarray:
         return self.solution.ts
 
-    def sample(self, xi: float) -> ProfileSample:
-        self._check_domain(xi)
-        h, f = self.solution.eval(xi)
+    def evaluate(self, xis) -> tuple[np.ndarray, ...]:
+        xis = self._check_domain(xis)
+        h, f = np.moveaxis(self.solution.eval(xis), -1, 0)
+        h = positive_h(h)
         p, sp = self.problem, self.special
-        dh = special_rhs(p, sp, xi, h)
-        phi = math.sqrt(h)
+        dh = special_rhs(p, sp, xis, h)
+        phi = np.sqrt(h)
         dphi = dh / (2.0 * phi)
         df = special_f_prime(sp, p.n, h)
-        ddphi, ddf = special_second_derivatives(p, sp, xi, h)
-        return ProfileSample(xi=xi, phi=phi, dphi=dphi, ddphi=ddphi,
-                             f=f, df=df, ddf=ddf)
+        ddphi, ddf = special_second_derivatives(p, sp, xis, h)
+        return phi, dphi, ddphi, f, df, ddf
 
 
 def _blowup_event(components, threshold: float) -> Event:
@@ -158,7 +157,7 @@ def solve_special(p: SolitonProblem, sp: SpecialParams,
     """Integrate the constrained first-order branch from h0 at span start."""
 
     def rhs(t, y):
-        h = y[0]
+        h = float(y[0])
         return np.array([special_rhs(p, sp, t, h),
                          special_f_prime(sp, p.n, h)])
 
@@ -182,6 +181,10 @@ class NodeProfile(Profile):
     """
 
     def __init__(self, xi, phi, dphi, f, df):
+        # Imported here: scipy.interpolate costs about half a second, and
+        # only CSV-backed profiles need it.
+        from scipy.interpolate import CubicSpline
+
         xi = np.asarray(xi, dtype=float)
         if xi.size < 4:
             raise ProfileMalformed("need at least 4 profile rows")
@@ -204,14 +207,7 @@ class NodeProfile(Profile):
         self.xi_min, self.xi_max = float(xi[0]), float(xi[-1])
         self.termination = None
 
-    def sample(self, xi: float) -> ProfileSample:
-        self._check_domain(xi)
-        return ProfileSample(
-            xi=xi,
-            phi=float(self._phi(xi)),
-            dphi=float(self._dphi(xi)),
-            ddphi=float(self._dphi(xi, 1)),
-            f=float(self._f(xi)),
-            df=float(self._df(xi)),
-            ddf=float(self._df(xi, 1)),
-        )
+    def evaluate(self, xis) -> tuple[np.ndarray, ...]:
+        xis = self._check_domain(xis)
+        return (self._phi(xis), self._dphi(xis), self._dphi(xis, 1),
+                self._f(xis), self._df(xis), self._df(xis, 1))

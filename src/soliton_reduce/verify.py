@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .ansatz import xi_jet
+from .ansatz import xi_values
 from .errors import (
     OutOfDomain,
     SamplingExhausted,
@@ -27,6 +27,9 @@ from .profiles import Profile
 from .reduction import TOL_SING, SolitonProblem
 
 DEFAULT_THRESHOLD = 1e-8
+
+#: Step of the FD oracle's Ricci tensor, the one its gap is reported at.
+ORACLE_STEP = 1e-4
 
 #: Coarsest step used for the convergence-rate measurement; finer steps sit
 #: on the round-off floor of the doubly nested differences.
@@ -52,6 +55,8 @@ class SampleSpec:
                 raise ValueError("box intervals must be non-degenerate")
         if self.mode not in ("random", "grid"):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
+        if self.mode == "grid" and self.count < 2 ** len(self.box):
+            raise ValueError("grid mode needs count >= 2**n (2 per axis)")
 
 
 @dataclass(frozen=True)
@@ -109,63 +114,77 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 
 def _grid_points(spec: SampleSpec) -> np.ndarray:
+    """The full grid with k points per axis, k the largest with k**n <=
+    count (count >= 2**n is checked by SampleSpec)."""
     n = len(spec.box)
-    per_axis = max(2, math.ceil(spec.count ** (1.0 / n)))
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in spec.box]
+    k = round(spec.count ** (1.0 / n))
+    while k ** n > spec.count:
+        k -= 1
+    while (k + 1) ** n <= spec.count:
+        k += 1
+    axes = [np.linspace(lo, hi, k) for lo, hi in spec.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _point_ok(p: SolitonProblem, prof: Profile, spec: SampleSpec,
-              x: np.ndarray) -> bool:
-    xi = xi_jet(p.ansatz, x).value
-    if not (prof.xi_min <= xi <= prof.xi_max):
-        return False
+def _evaluable_phi(prof: Profile, xis: np.ndarray) -> np.ndarray:
+    """phi at each xi; NaN outside the profile's domain and wherever any of
+    its data is not finite."""
+    phi = np.full(xis.shape, np.nan)
+    inside = (prof.xi_min <= xis) & (xis <= prof.xi_max)
+    data = np.stack(prof.evaluate(xis[inside]))
+    phi[inside] = np.where(np.all(np.isfinite(data), axis=0), data[0],
+                           np.nan)
+    return phi
+
+
+def _accepted(p: SolitonProblem, prof: Profile, spec: SampleSpec,
+              xs: np.ndarray) -> np.ndarray:
+    """Mask of the points of xs that satisfy the domain and exclusions."""
+    xis = xi_values(p.ansatz, xs)
     tau = p.ansatz.tau
-    if tau != 0.0 and abs(4.0 * tau * xi + p.lambda_constant) \
-            < max(spec.exclusion_sing, TOL_SING):
-        return False
-    try:
-        s = prof.sample(xi)
-    except SolitonReduceError:
-        return False
-    return abs(s.phi) >= spec.exclusion_phi
+    if tau != 0.0:
+        near = np.abs(4.0 * tau * xis + p.lambda_constant) \
+            < max(spec.exclusion_sing, TOL_SING)
+        xis = np.where(near, np.nan, xis)
+    return np.abs(_evaluable_phi(prof, xis)) >= spec.exclusion_phi
 
 
 def draw_points(p: SolitonProblem, prof: Profile,
                 spec: SampleSpec) -> np.ndarray:
     """Sample points satisfying the domain and exclusion constraints.
 
-    Random draws use the counter-based Philox generator keyed by the seed,
-    so reports are reproducible and independent of evaluation order.
+    Grid mode keeps every admissible point of the full grid. Random draws
+    use the counter-based Philox generator keyed by the seed, in batches of
+    `count`, keeping admissible points in draw order; reports are
+    reproducible and independent of evaluation order.
     """
     if len(spec.box) != p.n:
         raise ValueError("box dimension differs from problem dimension")
     if spec.mode == "grid":
-        pts = [x for x in _grid_points(spec)
-               if _point_ok(p, prof, spec, x)][:spec.count]
-        if not pts:
+        grid = _grid_points(spec)
+        pts = grid[_accepted(p, prof, spec, grid)]
+        if not len(pts):
             raise SamplingExhausted("no grid point satisfies the exclusions")
-        return np.asarray(pts)
+        return pts
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     lo = np.array([b[0] for b in spec.box])
     hi = np.array([b[1] for b in spec.box])
     accepted: list[np.ndarray] = []
+    n_accepted = 0
     max_draws = 200 * spec.count
     drawn = 0
-    while len(accepted) < spec.count:
+    while n_accepted < spec.count:
         if drawn >= max_draws:
             raise SamplingExhausted(
-                f"{len(accepted)}/{spec.count} points after {drawn} draws"
+                f"{n_accepted}/{spec.count} points after {drawn} draws"
             )
         batch = rng.uniform(lo, hi, size=(spec.count, p.n))
         drawn += spec.count
-        for x in batch:
-            if _point_ok(p, prof, spec, x):
-                accepted.append(x)
-                if len(accepted) == spec.count:
-                    break
-    return np.asarray(accepted)
+        keep = batch[_accepted(p, prof, spec, batch)][:spec.count - n_accepted]
+        accepted.append(keep)
+        n_accepted += len(keep)
+    return np.concatenate(accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +194,10 @@ def draw_points(p: SolitonProblem, prof: Profile,
 def residual_maxima(p: SolitonProblem, prof: Profile,
                     xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-point max-abs residuals of all four families at ambient points."""
-    xis = np.array([xi_jet(p.ansatz, x).value for x in xs])
-    samples = [prof.sample(float(xi)) for xi in xis]
-    phi = np.array([s.phi for s in samples])
-    dphi = np.array([s.dphi for s in samples])
-    ddphi = np.array([s.ddphi for s in samples])
-    df = np.array([s.df for s in samples])
-    ddf = np.array([s.ddf for s in samples])
+    xs = np.asarray(xs, dtype=float)
+    phi, dphi, ddphi, _, df, ddf = prof.evaluate(xi_values(p.ansatz, xs))
     return _kernels.batch_residuals(
-        p.sig.eps, p.ansatz.tau, p.ansatz.alpha, np.asarray(xs, dtype=float),
+        p.sig.eps, p.ansatz.tau, p.ansatz.alpha, xs,
         phi, dphi, ddphi, df, ddf, p.lam,
     ) + (phi, ddphi)
 
@@ -232,91 +246,113 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
 
 def _profile_oracle_gap(p: SolitonProblem, prof: Profile,
                         xs: np.ndarray) -> OracleGap | None:
-    """Compare the FD Ricci of gbar with the analytic conformal formula."""
+    """Compare the FD Ricci of gbar with the analytic conformal formula.
+
+    Points whose stencil leaves the profile's domain, or meets a point
+    where the profile is not evaluable, are skipped.
+    """
     from . import geometry
     from .profiles import lift
 
-    def phi_field(x):
-        return prof.sample(xi_jet(p.ansatz, x).value).phi
+    def phi_field(pts):
+        return _evaluable_phi(prof, xi_values(p.ansatz, pts))
 
+    ricci_fd, rates = fd_curvature_oracle(p.sig, phi_field, xs, ORACLE_STEP)
     worst = None
-    for x in xs:
+    for x, ric_x, rate in zip(xs, ricci_fd, rates):
+        if np.isnan(rate):
+            continue
         try:
-            ricci_fd, rate = fd_curvature_oracle(p.sig, phi_field, x)
             phi_jet, _ = lift(p.ansatz, prof, x)
             ricci = geometry.conformal_ricci(p.sig, phi_jet)
-            gap = float(np.max(np.abs(ricci_fd - ricci)))
-        except (StencilOutOfDomain, SolitonReduceError):
+        except SolitonReduceError:
             continue
+        gap = float(np.max(np.abs(ric_x - ricci)))
         if worst is None or gap > worst.gap:
-            worst = OracleGap(gap=gap, step=1e-4, rate=rate)
+            worst = OracleGap(gap=gap, step=ORACLE_STEP, rate=float(rate))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference curvature oracle
 # ---------------------------------------------------------------------------
+#
+# phi fields map an array of points, shape (..., n), to phi there, shape
+# (...). They may return NaN where phi is not evaluable, or raise
+# OutOfDomain / ValueError for the whole call.
 
-def _metric(sig, phi_field: Callable[[np.ndarray], float],
-            x: np.ndarray) -> np.ndarray:
+def _stencil(xs: np.ndarray, step: float) -> np.ndarray:
+    """x, then x + step e_l and x - step e_l for l = 0..n-1, around each
+    point of xs (..., n): shape (..., 2n+1, n)."""
+    n = xs.shape[-1]
+    offsets = np.zeros((2 * n + 1, n))
+    offsets[1::2] = step * np.eye(n)
+    offsets[2::2] = -step * np.eye(n)
+    return xs[..., None, :] + offsets
+
+
+def _phi_at(phi_field, pts: np.ndarray) -> np.ndarray:
     try:
-        phi = phi_field(x)
+        return np.asarray(phi_field(pts), dtype=float)
     except (OutOfDomain, ValueError) as exc:
-        raise StencilOutOfDomain(f"phi not evaluable at {x}") from exc
-    return np.diag(sig.eps) / phi ** 2
+        raise StencilOutOfDomain("phi not evaluable on the stencil") from exc
+
+
+def _christoffel(sig, phi: np.ndarray, step: float) -> np.ndarray:
+    """Gamma[..., k, i, j] of gbar = g / phi^2 from phi on a stencil
+    (..., 2n+1), through the metric samples and the general formula."""
+    n = sig.n
+    g = np.diag(sig.eps) / phi[..., None, None] ** 2
+    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * step)
+    ginv = np.linalg.inv(g[..., 0, :, :])
+    # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    acc = 0.0
+    for l in range(n):
+        acc = acc + ginv[..., :, l, None, None] * t[..., None, :, :, l]
+    return 0.5 * acc
+
+
+def _ricci(sig, phi: np.ndarray, step: float) -> np.ndarray:
+    """Ric[..., i, j] of gbar from phi on the nested stencil
+    (..., 2n+1, 2n+1): central differences of the Christoffel symbols."""
+    n = sig.n
+    gamma = _christoffel(sig, phi, step)
+    dgamma = (gamma[..., 1::2, :, :, :] - gamma[..., 2::2, :, :, :]) \
+        / (2.0 * step)
+    g0 = gamma[..., 0, :, :, :]
+    ric = 0.0
+    for k in range(n):
+        ric = ric + (dgamma[..., k, k, :, :] - dgamma[..., :, k, k, :])
+        for m in range(n):
+            ric = ric + (g0[..., k, k, m, None, None] * g0[..., m, :, :]
+                         - g0[..., k, :, m, None] * g0[..., m, k, None, :])
+    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
 def fd_christoffel(sig, phi_field, x: np.ndarray, step: float) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of gbar from metric samples only."""
-    n = sig.n
-    x = np.asarray(x, dtype=float)
-    dg = np.empty((n, n, n))  # dg[l] = d_l g
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = step
-        dg[l] = (_metric(sig, phi_field, x + e)
-                 - _metric(sig, phi_field, x - e)) / (2.0 * step)
-    ginv = np.linalg.inv(_metric(sig, phi_field, x))
-    gamma = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc += ginv[k, l] * (dg[i][j, l] + dg[j][i, l]
-                                         - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
+    """Christoffel symbols Gamma[..., k, i, j] of gbar at points x (..., n),
+    from metric samples only."""
+    stencil = _stencil(np.asarray(x, dtype=float), step)
+    return _christoffel(sig, _phi_at(phi_field, stencil), step)
 
 
-def _fd_ricci_once(sig, phi_field, x: np.ndarray, step: float) -> np.ndarray:
-    n = sig.n
-    dgamma = np.empty((n, n, n, n))  # dgamma[l] = d_l Gamma
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = step
-        dgamma[l] = (fd_christoffel(sig, phi_field, x + e, step)
-                     - fd_christoffel(sig, phi_field, x - e, step)) \
-            / (2.0 * step)
-    gamma = fd_christoffel(sig, phi_field, x, step)
-    ric = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += dgamma[k][k, i, j] - dgamma[i][k, k, j]
-                for m in range(n):
-                    acc += (gamma[k, k, m] * gamma[m, i, j]
-                            - gamma[k, i, m] * gamma[m, k, j])
-            ric[i, j] = acc
-    return 0.5 * (ric + ric.T)
+def _rate(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> float:
+    d1 = float(np.linalg.norm(r1 - r2))
+    d2 = float(np.linalg.norm(r2 - r3))
+    return math.inf if d2 == 0.0 else math.log2(d1 / d2) \
+        if d1 > 0.0 else math.inf
 
 
-def fd_curvature_oracle(sig, phi_field: Callable[[np.ndarray], float],
-                        x: np.ndarray,
-                        step: float = 1e-4) -> tuple[np.ndarray, float]:
+def fd_curvature_oracle(sig, phi_field, x: np.ndarray,
+                        step: float = ORACLE_STEP):
     """Ricci tensor of gbar by nested central differences, plus its
     empirical convergence rate under step-halving.
+
+    `x` is one point (n,) or a batch (m, n); results are (n, n) and a
+    float, or (m, n, n) and (m,). The stencils of every point at all four
+    steps go to `phi_field` in one call. A point whose stencil holds a
+    non-finite phi gets a NaN tensor and rate.
 
     The assembly uses only pointwise metric samples and the general-metric
     Christoffel/Ricci formulas; it shares no code path with the conformal
@@ -324,21 +360,30 @@ def fd_curvature_oracle(sig, phi_field: Callable[[np.ndarray], float],
     where truncation still dominates round-off.
     """
     x = np.asarray(x, dtype=float)
-    ric = _fd_ricci_once(sig, phi_field, x, step)
+    xs = np.atleast_2d(x)
     h0 = max(step, RATE_BASE_STEP)
-    r1 = _fd_ricci_once(sig, phi_field, x, h0)
-    r2 = _fd_ricci_once(sig, phi_field, x, h0 / 2.0)
-    r3 = _fd_ricci_once(sig, phi_field, x, h0 / 4.0)
-    d1 = float(np.linalg.norm(r1 - r2))
-    d2 = float(np.linalg.norm(r2 - r3))
-    rate = math.inf if d2 == 0.0 else math.log2(d1 / d2) \
-        if d1 > 0.0 else math.inf
-    return ric, rate
+    steps = (step, h0, h0 / 2.0, h0 / 4.0)
+    phi = _phi_at(phi_field, np.stack([_stencil(_stencil(xs, h), h)
+                                       for h in steps]))
+    ok = np.all(np.isfinite(phi), axis=(0, 2, 3))
+    ric, r1, r2, r3 = (_ricci(sig, phi[s, ok], h)
+                       for s, h in enumerate(steps))
+    ricci = np.full((len(xs), sig.n, sig.n), np.nan)
+    ricci[ok] = ric
+    rate = np.full(len(xs), np.nan)
+    rate[ok] = [_rate(*r) for r in zip(r1, r2, r3)]
+    if x.ndim == 1:
+        return ricci[0], float(rate[0])
+    return ricci, rate
 
 
 def fd_hessian_oracle(sig, phi_field, f_field, x: np.ndarray,
-                      step: float = 1e-4) -> np.ndarray:
-    """Covariant Hessian of f in gbar by central differences."""
+                      step: float = ORACLE_STEP) -> np.ndarray:
+    """Covariant Hessian of f in gbar by central differences.
+
+    `f_field` maps a point (n,) to f there; `phi_field` is a phi field as
+    above.
+    """
     n = sig.n
     x = np.asarray(x, dtype=float)
     grad = np.empty(n)

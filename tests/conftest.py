@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import soliton_reduce
 from soliton_reduce import ScalarJet2, Signature
 from soliton_reduce.ansatz import QuadricAnsatz
+
+
+def package_env() -> dict:
+    """This process's environment with the tested package's source root
+    first on PYTHONPATH, for subprocesses that import it."""
+    src = str(Path(soliton_reduce.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def rng(seed: int = 0) -> np.random.Generator:

@@ -1,12 +1,17 @@
 """The command-line interface: configs, CSV round trips and exit codes."""
 
 import csv
+import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import package_env
+from soliton_reduce import cli
 from soliton_reduce.cli import main, read_profile_csv, resolve_config
 from soliton_reduce.errors import ConfigInvalid, ProfileMalformed
 
@@ -56,6 +61,36 @@ class TestResolveConfig:
         with pytest.raises(ConfigInvalid):
             resolve_config({"mode": "theorem2", "n": 2, "epsilon": [1, 1],
                             "xi_span": [0.0, 1.0]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("field", [
+        "tau", "lambda", "xi_span.0", "xi_span.1", "initial.phi0",
+        "initial.df0", "tolerances.rel_tol", "tolerances.abs_tol",
+        "tolerances.max_step"])
+    def test_rejects_non_finite_and_bool(self, tmp_path, field, bad):
+        raw = json.loads(write_config(tmp_path / "c.json").read_text())
+        raw["tolerances"] = {"rel_tol": 1e-10, "abs_tol": 1e-12,
+                             "max_step": 0.5}
+        resolve_config(json.loads(json.dumps(raw)))  # the base is valid
+        key, _, sub = field.partition(".")
+        if key == "xi_span":
+            raw[key][int(sub)] = bad
+        elif sub:
+            raw[key][sub] = bad
+        else:
+            raw[key] = bad
+        with pytest.raises(ConfigInvalid) as exc:
+            resolve_config(raw)
+        assert any(m.startswith(key) for m in exc.value.messages)
+
+    def test_theorem3_initial_checked(self):
+        base = {"mode": "theorem3", "n": 2, "epsilon": [1, 1], "tau": 1.0,
+                "xi_span": [0.0, 1.0]}
+        for initial in ({"c1": math.nan, "c2": 0.0, "h0": 1.0},
+                        {"c1": -1.0, "c2": 0.0, "h0": True},
+                        {"c1": -1.0, "c2": 0.0, "h0": 1.0, "f0": math.inf}):
+            with pytest.raises(ConfigInvalid):
+                resolve_config(dict(base, initial=initial))
 
 
 class TestSolveVerifyRoundTrip:
@@ -122,6 +157,26 @@ class TestSolveVerifyRoundTrip:
                      "--out", str(tmp_path)]) == 1
 
 
+class TestProfileCsv:
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        # The theorem-2 cigar config: the batched writer must produce the
+        # bytes of one sample() per row.
+        path = write_config(tmp_path / "cfg.json", output={"points": 2001})
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+        cfg = cli.load_config(path)
+        _, prof, _ = cli._build_profile(cfg)
+        ref = io.StringIO(newline="")
+        ref.write("# soliton-reduce profile n=2 mode=theorem2\n")
+        writer = csv.writer(ref)
+        writer.writerow(cli.CSV_COLUMNS)
+        for xi in np.linspace(1.0, 6.0, 2001):
+            s = prof.sample(float(xi))
+            writer.writerow([repr(float(v)) for v in
+                             (s.xi, s.phi, s.dphi, s.f, s.df)])
+        assert (tmp_path / "profile.csv").read_bytes() == \
+            ref.getvalue().encode()
+
+
 class TestTheorem3Mode:
     def test_cigar_constants(self, tmp_path):
         cfg = write_config(
@@ -171,6 +226,22 @@ class TestErrorExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", str(bad)]) == 2
+
+    @pytest.mark.parametrize("override", [
+        {"tau": math.nan}, {"xi_span": [1.0, math.inf]}],
+        ids=["tau_nan", "xi_span_infinity"])
+    def test_non_finite_config_exits_2(self, tmp_path, override):
+        # These once hung (NaN tau) or exited 0 (an infinite span) in a
+        # fresh process; now they are rejected before solving.
+        cfg = write_config(tmp_path / "cfg.json", **override)
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        out = subprocess.run(
+            [sys.executable, "-m", "soliton_reduce.cli", "solve", str(cfg),
+             "--out", str(tmp_path)],
+            env=package_env(), capture_output=True, text=True, timeout=10)
+        assert out.returncode == 2, out.stderr
+        assert "invalid configuration" in out.stderr
+        assert not (tmp_path / "profile.csv").exists()
 
     def test_lightlike_direction_rejected(self, tmp_path, capsys):
         # tau = 0 with lightlike alpha (Lambda = 0) must exit 2.

@@ -165,7 +165,7 @@ class TestRicci:
         x = np.array([0.3, -0.2, 0.5])
 
         def phi_field(y):
-            return 1.0 + 0.25 * float(np.dot(y, y))
+            return 1.0 + 0.25 * np.sum(y * y, axis=-1)
 
         ric_fd, rate = fd_curvature_oracle(sig, phi_field, x)
         ric = conformal_ricci(sig, sphere_phi_jet(x))

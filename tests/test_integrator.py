@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soliton_reduce import Event, IntegrationConfig, convergence_order, integrate
-from soliton_reduce.errors import DomainError, EventAtStart
+from soliton_reduce.errors import DomainError, EventAtStart, StepSizeUnderflow
 
 
 def exp_rhs(t, y):
@@ -72,6 +72,45 @@ class TestDenseOutput:
                         IntegrationConfig(xi_span=(0.0, 1.0)))
         with pytest.raises(ValueError):
             sol.eval(2.0)
+        with pytest.raises(ValueError):
+            sol.eval(np.array([0.5, 2.0]))
+
+    @staticmethod
+    def scan_eval(sol, t):
+        """Reference: linear scan for the first step whose end is at or
+        past t in the integration direction (else the last step), then
+        that step's quartic interpolant."""
+        direction = math.copysign(1.0, sol.seg_h[0])
+        last = sol.seg_h.size - 1
+        i = next((i for i in range(last + 1)
+                  if (t - (sol.seg_t0[i] + sol.seg_h[i])) * direction <= 0.0),
+                 last)
+        theta = (t - sol.seg_t0[i]) / sol.seg_h[i]
+        return sol.seg_y0[i] + sol.seg_h[i] * (
+            sol.seg_q[i] @ (theta ** np.arange(1, 5)))
+
+    @pytest.mark.parametrize("span, events", [
+        ((0.0, 3.0), ()),
+        ((3.0, -1.0), ()),
+        ((0.0, 6.0), (Event("x_zero", lambda t, y: y[0] + 0.5),)),
+    ], ids=["increasing", "decreasing", "event"])
+    def test_batch_matches_linear_scan(self, span, events):
+        sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=span, rel_tol=1e-8, abs_tol=1e-10, events=events))
+        if events:
+            assert sol.termination.event == "x_zero"
+            # The stopped run's last step reaches past its stop point.
+            last_end = sol.seg_t0[-1] + sol.seg_h[-1]
+            assert last_end > sol.t_end
+        lo, hi = sorted((sol.t_start, sol.t_end))
+        # Nodes (segment boundaries) and the span ends included.
+        ts = np.concatenate([np.linspace(lo, hi, 301), sol.ts])
+        batch = sol.eval(ts)
+        assert batch.shape == (ts.size, 2)
+        for t, y in zip(ts, batch):
+            ref = self.scan_eval(sol, float(t))
+            assert np.array_equal(y, ref)
+            assert np.array_equal(sol.eval(float(t)), ref)
 
 
 class TestEvents:
@@ -140,3 +179,25 @@ class TestConfigValidation:
     def test_degenerate_span(self):
         with pytest.raises(ValueError):
             IntegrationConfig(xi_span=(1.0, 1.0))
+
+    @pytest.mark.parametrize("span", [(0.0, math.inf), (math.nan, 1.0),
+                                      (-math.inf, 0.0)])
+    def test_non_finite_span(self, span):
+        with pytest.raises(ValueError):
+            IntegrationConfig(xi_span=span)
+
+
+class TestNonFinite:
+    def test_nan_rhs_rejects_steps(self):
+        # A NaN error norm must reject the step, not pass it: the step
+        # size shrinks until it underflows instead of marching on NaN.
+        def rhs(t, y):
+            return np.array([math.nan if t > 1.0 else 1.0])
+
+        with pytest.raises(StepSizeUnderflow):
+            integrate(rhs, [0.0], IntegrationConfig(xi_span=(0.0, 2.0)))
+
+    def test_nan_everywhere_terminates(self):
+        with pytest.raises(StepSizeUnderflow):
+            integrate(lambda t, y: np.array([math.nan]), [0.0],
+                      IntegrationConfig(xi_span=(0.0, 1.0)))

@@ -1,10 +1,13 @@
 """Residual kernels: the compiled loop path, the numpy fallback and the
 reference jet-based route must agree exactly."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import random_ansatz, random_signature, rng
+from conftest import package_env, random_ansatz, random_signature, rng
 from soliton_reduce import (
     residual_diag,
     residual_offdiag,
@@ -94,16 +97,12 @@ class TestAgainstJetRoute:
 
 class TestEnvFlag:
     def test_disable_flag_selects_numpy(self):
-        import subprocess
-        import sys
-
         code = ("import soliton_reduce._kernels as k; "
                 "assert not k.HAVE_NUMBA; "
                 "assert k.batch_residuals is k.batch_residuals_numpy; "
                 "print('ok')")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "SOLITON_REDUCE_DISABLE_NUMBA": "1"},
-            capture_output=True, text=True)
+        env = dict(package_env(), SOLITON_REDUCE_DISABLE_NUMBA="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"

@@ -300,3 +300,110 @@ class TestGallery:
             gallery("n2_polynomial", tau=0.0)
         with pytest.raises(InvalidGalleryParams):
             gallery("n2_polynomial", c3=-1.0)  # h(0) < 0
+
+
+def n2_reference(c1, c2, c3, tau, lam, f0=0.0, xi_anchor=0.0):
+    """Scalar closed form of the n = 2 polynomial family (default ansatz,
+    Lambda = 0): h = a xi^2 + b xi + c, f' = c1 / h, f by quadrature."""
+    from scipy.integrate import quad
+
+    a, b, c = 2.0 * c2 * tau, lam / (2.0 * tau) - c1, c3
+
+    def at(xi):
+        h, dh = (a * xi + b) * xi + c, 2.0 * a * xi + b
+        phi = math.sqrt(h)
+        dphi = dh / (2.0 * phi)
+        f = f0 + quad(lambda s: c1 / ((a * s + b) * s + c), xi_anchor, xi,
+                      epsabs=1e-13, epsrel=1e-13)[0]
+        return (phi, dphi, (a - dphi ** 2) / phi, f, c1 / h,
+                -c1 * dh / h ** 2)
+    return at
+
+
+#: (gallery params, scalar reference xi -> 6-tuple, xi grid).
+CLOSED_FORMS = {
+    "gaussian": (dict(name="gaussian", k=1.5, tau=-2.0, lam=0.6, a2=0.1),
+                 lambda xi: (1.5, 0.0, 0.0, 0.6 / (-4.0 * 2.25) * xi + 0.1,
+                             0.6 / (-4.0 * 2.25), 0.0),
+                 np.linspace(-3.0, 3.0, 7)),
+    "cigar": (dict(name="cigar"),
+              lambda xi: (math.sqrt(1 + xi), 0.5 / math.sqrt(1 + xi),
+                          -0.25 * (1 + xi) ** -1.5, -math.log(1 + xi),
+                          -1 / (1 + xi), (1 + xi) ** -2),
+              np.linspace(-0.9, 6.0, 7)),
+    "space_form": (dict(name="space_form", b1=-0.7, b2=1.3, f0=0.2),
+                   lambda xi: (-0.7 * xi + 1.3, -0.7, 0.0, 0.2, 0.0, 0.0),
+                   np.linspace(-3.0, 1.8, 7)),
+    "n2_disc_negative": (
+        dict(name="n2_polynomial", c1=-0.5, c2=0.3, c3=1.2, tau=1.0,
+             lam=0.4, f0=0.2),
+        n2_reference(-0.5, 0.3, 1.2, 1.0, 0.4, f0=0.2),
+        np.linspace(-2.0, 2.0, 7)),
+    "n2_disc_positive": (
+        dict(name="n2_polynomial", c1=0.3, c2=-0.5, lam=-1.0),
+        n2_reference(0.3, -0.5, 1.0, 1.0, -1.0), np.linspace(-1.2, 0.5, 7)),
+    "n2_disc_zero": (
+        dict(name="n2_polynomial", c1=-1.0, c2=0.5, lam=2.0),
+        n2_reference(-1.0, 0.5, 1.0, 1.0, 2.0), np.linspace(-0.8, 2.0, 7)),
+    "n2_linear": (
+        dict(name="n2_polynomial", c1=0.3, c2=0.0, lam=0.0),
+        n2_reference(0.3, 0.0, 1.0, 1.0, 0.0), np.linspace(-2.0, 3.0, 7)),
+    "n2_constant": (
+        dict(name="n2_polynomial", c1=0.3, c2=0.0, lam=0.6, c3=2.0),
+        n2_reference(0.3, 0.0, 2.0, 1.0, 0.6), np.linspace(-2.0, 3.0, 7)),
+}
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_evaluate_matches_closed_form(self, case):
+        params, reference, xis = CLOSED_FORMS[case]
+        params = dict(params)
+        prof = gallery(params.pop("name"), **params).profile
+        got = np.array(prof.evaluate(xis))
+        ref = np.array([reference(float(xi)) for xi in xis]).T
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        for xi, column in zip(xis, got.T):
+            s = prof.sample(float(xi))
+            assert (s.phi, s.dphi, s.ddphi, s.f, s.df, s.ddf) == \
+                tuple(column)
+
+    # Array powers may round differently from the scalar pow() in the
+    # last bits; +, -, *, / are exact matches.
+    ULPS = 4 * np.finfo(float).eps
+
+    def test_reduced_rhs_arrays_match_floats(self):
+        p = make_problem(n=3, tau=0.7, alpha=[0.2, -0.1, 0.3], lam=-0.5)
+        gen = np.random.Generator(np.random.Philox(key=4))
+        cols = [gen.uniform(0.5, 2.0, 50) for _ in range(5)]
+        out = np.array(reduced_rhs(p, ReducedState(*cols)))
+        one = np.array([reduced_rhs(p, ReducedState(*(float(c[k])
+                                                      for c in cols)))
+                        for k in range(50)]).T
+        np.testing.assert_allclose(out, one, rtol=self.ULPS, atol=0.0)
+
+    def test_reduced_rhs_arrays_nan_at_guards(self):
+        p = make_problem(n=3, tau=1.0)  # Lambda = 0: locus at xi = 0
+        xi = np.array([1.0, 0.0, 1.0])
+        phi = np.array([1.0, 1.0, 1e-13])
+        one = np.ones(3)
+        _, ddphi, _, ddf = reduced_rhs(p, ReducedState(xi, phi, one, one,
+                                                       one))
+        assert np.isfinite(ddphi[0]) and np.isfinite(ddf[0])
+        assert np.all(np.isnan(ddphi[1:])) and np.all(np.isnan(ddf[1:]))
+
+    def test_special_arrays_match_floats(self):
+        p = make_problem(n=4, tau=0.8, lam=0.3)
+        sp = SpecialParams(c1=-0.4, c2=0.2, h0=1.0)
+        xis = np.linspace(0.0, 2.0, 9)
+        hs = np.linspace(0.5, 3.0, 9)
+        arrays = np.array([special_rhs(p, sp, xis, hs),
+                           special_f_prime(sp, 4, hs),
+                           *special_second_derivatives(p, sp, xis, hs)])
+        floats = np.array([
+            [special_rhs(p, sp, xi, h), special_f_prime(sp, 4, h),
+             *special_second_derivatives(p, sp, xi, h)]
+            for xi, h in zip(xis.tolist(), hs.tolist())]).T
+        np.testing.assert_allclose(arrays, floats, rtol=self.ULPS, atol=0.0)
+        bad = special_rhs(p, sp, np.zeros(2), np.array([1.0, -1.0]))
+        assert np.isfinite(bad[0]) and np.isnan(bad[1])

@@ -2,9 +2,13 @@
 reconstructed from node data."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+from conftest import package_env
 
 from soliton_reduce import (
     IntegrationConfig,
@@ -193,3 +197,14 @@ class TestNodeProfile:
         prof = NodeProfile(xi, phi, dphi, f, df)
         with pytest.raises(OutOfDomain):
             prof.sample(100.0)
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # scipy.interpolate costs about half a second to import; only
+    # NodeProfile needs it, so importing the package must not load it.
+    code = ("import sys, soliton_reduce; "
+            "print('scipy.interpolate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -16,9 +16,15 @@ from soliton_reduce import (
     gallery,
     verify_profile,
 )
+from soliton_reduce import (
+    IntegrationConfig,
+    ReducedState,
+    solve_reduced,
+)
 from soliton_reduce.ansatz import QuadricAnsatz, xi_jet
-from soliton_reduce.errors import SamplingExhausted
+from soliton_reduce.errors import SamplingExhausted, SolitonReduceError
 from soliton_reduce.geometry import ScalarJet2
+from soliton_reduce.reduction import TOL_SING
 from soliton_reduce.verify import draw_points, residual_scale
 
 
@@ -57,6 +63,20 @@ class TestSampling:
         assert len(pts) <= 49
         assert len(pts) > 10
 
+    def test_grid_covers_box(self):
+        # 500 points on [-1, 1]^2: a 22 x 22 grid, whose last row is x0 = 1.
+        entry = gallery("gaussian", n=2)
+        spec = SampleSpec(box=[(-1.0, 1.0)] * 2, mode="grid", count=500)
+        pts = draw_points(entry.problem, entry.profile, spec)
+        assert len(pts) == 22 ** 2
+        assert pts[:, 0].max() == 1.0
+        assert pts[:, 1].min() == -1.0
+
+    def test_grid_needs_two_per_axis(self):
+        with pytest.raises(ValueError):
+            SampleSpec(box=[(-1.0, 1.0)] * 3, mode="grid", count=7)
+        SampleSpec(box=[(-1.0, 1.0)] * 3, mode="grid", count=8)
+
     def test_exhausted(self):
         # An unsatisfiable exclusion empties every batch.
         entry = gallery("cigar")
@@ -77,6 +97,94 @@ class TestSampling:
             SampleSpec(box=[(0.0, 1.0)], count=0)
         with pytest.raises(ValueError):
             SampleSpec(box=[(0.0, 1.0)], mode="sobol")
+
+
+def pointwise_draw(p, prof, spec):
+    """Reference sampler: one point at a time, one sample() each."""
+    def ok(x):
+        xi = xi_jet(p.ansatz, x).value
+        if not prof.xi_min <= xi <= prof.xi_max:
+            return False
+        tau = p.ansatz.tau
+        if tau != 0.0 and abs(4.0 * tau * xi + p.lambda_constant) \
+                < max(spec.exclusion_sing, TOL_SING):
+            return False
+        try:
+            s = prof.sample(xi)
+        except SolitonReduceError:
+            return False
+        values = (s.phi, s.dphi, s.ddphi, s.f, s.df, s.ddf)
+        return all(np.isfinite(values)) and abs(s.phi) >= spec.exclusion_phi
+
+    if spec.mode == "grid":
+        n = len(spec.box)
+        k = 2
+        while (k + 1) ** n <= spec.count:
+            k += 1
+        axes = np.meshgrid(*[np.linspace(lo, hi, k) for lo, hi in spec.box],
+                           indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        return np.array([x for x in grid if ok(x)])
+    rng_ = np.random.Generator(np.random.Philox(key=spec.seed))
+    lo, hi = np.array(spec.box).T
+    out = []
+    while len(out) < spec.count:
+        for x in rng_.uniform(lo, hi, size=(spec.count, p.n)):
+            if ok(x):
+                out.append(x)
+                if len(out) == spec.count:
+                    break
+    return np.array(out)
+
+
+def phi_zero_profile():
+    """space_form data integrated backward until the phi_zero event."""
+    entry = gallery("space_form", beta=[-2.0, 0.0, 0.0])
+    s = entry.profile.sample(1.0)
+    prof = solve_reduced(entry.problem,
+                         ReducedState(1.0, s.phi, s.dphi, s.f, s.df),
+                         IntegrationConfig(xi_span=(1.0, -1.5)))
+    assert prof.termination.event == "phi_zero"
+    return entry.problem, prof
+
+
+#: Gallery entries with exclusions (phi, singular locus) that each reject
+#: part of the box [-2, 2]^2; the n2_polynomial domain is bounded too.
+SAMPLED_PROFILES = {
+    "gaussian": (lambda: gallery("gaussian", n=2, k=1.5, lam=-1.0),
+                 1e-8, 2.0),
+    "cigar": (lambda: gallery("cigar"), 1.2, 2.0),
+    "space_form": (lambda: gallery("space_form", n=2), 1.2, 1e-8),
+    "n2_polynomial": (lambda: gallery("n2_polynomial", c1=0.3, c2=-0.5,
+                                      lam=-1.0), 0.5, 1e-8),
+}
+
+
+class TestBatchSampling:
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    @pytest.mark.parametrize("name", sorted(SAMPLED_PROFILES))
+    def test_gallery_matches_pointwise(self, name, mode):
+        make, exclusion_phi, exclusion_sing = SAMPLED_PROFILES[name]
+        entry = make()
+        spec = SampleSpec(box=[(-2.0, 2.0)] * 2, mode=mode, count=150,
+                          seed=5, exclusion_phi=exclusion_phi,
+                          exclusion_sing=exclusion_sing)
+        pts = draw_points(entry.problem, entry.profile, spec)
+        if mode == "grid":
+            assert 0 < len(pts) < 12 ** 2  # some, not all, accepted
+        assert np.array_equal(pts, pointwise_draw(entry.problem,
+                                                  entry.profile, spec))
+
+    @pytest.mark.parametrize("mode", ["random", "grid"])
+    def test_event_stopped_profile_matches_pointwise(self, mode):
+        p, prof = phi_zero_profile()
+        for excl in (1e-8, 0.2):
+            spec = SampleSpec(box=[(-2.0, 2.0)] * 3, mode=mode, count=300,
+                              seed=9, exclusion_phi=excl)
+            pts = draw_points(p, prof, spec)
+            if mode == "grid":
+                assert 0 < len(pts) < 6 ** 3
+            assert np.array_equal(pts, pointwise_draw(p, prof, spec))
 
 
 class TestVerifyProfile:
@@ -147,11 +255,11 @@ class TestOracle:
             q = 0.5 * (q + q.T)
 
             def phi_field(x, c=c, q=q):
-                return 2.0 + float(c @ x + x @ q @ x)
+                return 2.0 + x @ c + np.einsum("...i,ij,...j->...", x, q, x)
 
             x0 = gen.uniform(-0.5, 0.5, n)
             ric_fd, rate = fd_curvature_oracle(sig, phi_field, x0)
-            jet = ScalarJet2(phi_field(x0), c + 2.0 * q @ x0, 2.0 * q)
+            jet = ScalarJet2(float(phi_field(x0)), c + 2.0 * q @ x0, 2.0 * q)
             ric = conformal_ricci(sig, jet)
             assert np.max(np.abs(ric_fd - ric)) < 1e-6
             assert 1.8 <= rate <= 2.2
@@ -160,14 +268,15 @@ class TestOracle:
         sig = Signature.riemannian(2)
 
         def phi_field(x):
-            return 1.0 + 0.25 * float(x @ x)
+            return 1.0 + 0.25 * np.sum(x * x, axis=-1)
 
         def f_field(x):
             return 0.3 * x[0] ** 2 - 0.2 * x[0] * x[1] + 0.5 * x[1]
 
         x0 = np.array([0.4, -0.3])
         hess_fd = fd_hessian_oracle(sig, phi_field, f_field, x0)
-        phi_jet = ScalarJet2(phi_field(x0), 0.5 * x0, 0.5 * np.eye(2))
+        phi_jet = ScalarJet2(float(phi_field(x0)), 0.5 * x0,
+                             0.5 * np.eye(2))
         f_jet = ScalarJet2(f_field(x0),
                            np.array([0.6 * x0[0] - 0.2 * x0[1],
                                      -0.2 * x0[0] + 0.5]),
