@@ -80,14 +80,12 @@ def xi_values(a: QuadricAnsatz, xs: np.ndarray) -> np.ndarray:
 
 
 def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
-    """Exact 2-jet of xi at the point x."""
+    """Exact 2-jet of xi at a point x (n,) or at each point of x (..., n)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (a.n,):
-        raise ValueError("point dimension mismatch")
-    eps = a.sig.eps
-    value = float(xi_values(a, x))
-    grad = 2.0 * a.tau * eps * x + a.alpha
-    hess = np.diag(2.0 * a.tau * eps)
+    value = xi_values(a, x)
+    grad = 2.0 * a.tau * a.sig.eps * x + a.alpha
+    hess = np.broadcast_to(np.diag(2.0 * a.tau * a.sig.eps),
+                           x.shape + (a.n,))
     return ScalarJet2(value, grad, hess)
 
 

@@ -65,6 +65,11 @@ def _finite(v) -> bool:
             and math.isfinite(v))
 
 
+def _int_at_least(v, lo: int) -> bool:
+    """An integer (not a boolean) >= lo."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
 def load_config(path: str | Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -135,19 +140,14 @@ def resolve_config(raw: dict) -> dict:
     cfg["tolerances"] = tols
 
     initial = cfg.get("initial")
-    if mode == "theorem2":
-        needed = ("phi0", "dphi0", "f0", "df0")
+    needed = {"theorem2": ("phi0", "dphi0", "f0", "df0"),
+              "theorem3": ("c1", "c2", "h0")}.get(str(mode))
+    if needed:
         ok = isinstance(initial, dict) and all(
             _finite(initial.get(k)) for k in needed)
         _require(ok, f"initial: dict with finite numbers {needed} required",
                  errors)
-    elif mode == "theorem3":
-        needed = ("c1", "c2", "h0")
-        ok = isinstance(initial, dict) and all(
-            _finite(initial.get(k)) for k in needed)
-        _require(ok, f"initial: dict with finite numbers {needed} required",
-                 errors)
-        if ok:
+        if ok and mode == "theorem3":
             initial.setdefault("f0", 0.0)
             _require(_finite(initial["f0"]),
                      "initial.f0: finite number required", errors)
@@ -160,15 +160,27 @@ def resolve_config(raw: dict) -> dict:
     sample.setdefault("count", 500)
     sample.setdefault("exclusion_phi", 1e-8)
     sample.setdefault("exclusion_sing", 1e-8)
+    _require(_int_at_least(sample["count"], 1),
+             "sample.count: integer >= 1 required", errors)
+    _require(_int_at_least(sample["seed"], 0),
+             "sample.seed: integer >= 0 required", errors)
+    for key in ("exclusion_phi", "exclusion_sing"):
+        _require(_finite(sample[key]) and sample[key] >= 0,
+                 f"sample.{key}: finite number >= 0 required", errors)
     if "box" in sample and isinstance(n, int):
         box = sample["box"]
         _require(isinstance(box, list) and len(box) == n
-                 and all(isinstance(b, list) and len(b) == 2 for b in box),
-                 "sample.box: list of n [lo, hi] pairs required", errors)
+                 and all(isinstance(b, list) and len(b) == 2
+                         and all(_finite(v) for v in b) and b[0] < b[1]
+                         for b in box),
+                 "sample.box: list of n [lo, hi] pairs, finite, with lo < hi,"
+                 " required", errors)
     cfg["sample"] = sample
 
     output = dict(cfg.get("output") or {})
     output.setdefault("points", DEFAULT_OUTPUT_POINTS)
+    _require(_int_at_least(output["points"], 2),
+             "output.points: integer >= 2 required", errors)
     output.setdefault("profile_csv", "profile.csv")
     output.setdefault("summary_json", "summary.json")
     output.setdefault("report_json", "report.json")
@@ -367,14 +379,24 @@ def _sample_spec(cfg: dict, args) -> SampleSpec:
     sample = cfg["sample"]
     if "box" not in sample:
         raise ConfigInvalid("sample.box: required for verification")
-    return SampleSpec(
-        box=[tuple(b) for b in sample["box"]],
-        mode=sample["mode"],
-        count=int(args.points or sample["count"]),
-        seed=int(args.seed if args.seed is not None else sample["seed"]),
-        exclusion_phi=float(sample["exclusion_phi"]),
-        exclusion_sing=float(sample["exclusion_sing"]),
-    )
+    count = args.points if args.points is not None else sample["count"]
+    seed = args.seed if args.seed is not None else sample["seed"]
+    errors: list[str] = []
+    _require(count >= 1, "--points: integer >= 1 required", errors)
+    _require(seed >= 0, "--seed: integer >= 0 required", errors)
+    if errors:
+        raise ConfigInvalid(errors)
+    try:
+        return SampleSpec(
+            box=[tuple(b) for b in sample["box"]],
+            mode=sample["mode"],
+            count=count,
+            seed=seed,
+            exclusion_phi=float(sample["exclusion_phi"]),
+            exclusion_sing=float(sample["exclusion_sing"]),
+        )
+    except ValueError as exc:
+        raise ConfigInvalid(f"sample: {exc}") from None
 
 
 def cmd_verify(args) -> int:

@@ -2,10 +2,11 @@
 
 The background is R^n with the diagonal metric g_ij = delta_ij * eps_i,
 eps_i = +/-1. Everything here evaluates exact closed-form expressions for
-the rescaled metric gbar = g / phi^2 at a single point, given second-order
-jets (value, gradient, Hessian) of the scalar fields involved. No numerical
-differentiation happens in this module; finite differences live only in the
-independent oracle in :mod:`soliton_reduce.verify`.
+the rescaled metric gbar = g / phi^2, given second-order jets (value,
+gradient, Hessian) of the scalar fields involved, at one point or at a
+batch of points at once. No numerical differentiation happens in this
+module; finite differences live only in the independent oracle in
+:mod:`soliton_reduce.verify`.
 """
 
 from __future__ import annotations
@@ -53,38 +54,57 @@ class Signature:
 
 @dataclass(frozen=True)
 class ScalarJet2:
-    """Second-order jet of a scalar field at a point.
+    """Second-order jets of a scalar field at one point or a batch of points.
 
-    The Hessian is symmetrized on construction so downstream tensor
-    symmetry is exact, not approximate.
+    For a batch shape (...): value (...), gradient (..., n), hessian
+    (..., n, n); at a single point the value is a float. The Hessian is
+    symmetrized on construction so downstream tensor symmetry is exact,
+    not approximate.
     """
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
     def __post_init__(self):
+        value = np.asarray(self.value, dtype=float)
         grad = np.asarray(self.gradient, dtype=float)
         hess = np.asarray(self.hessian, dtype=float)
-        if hess.shape != (grad.size, grad.size):
+        if grad.shape[:-1] != value.shape or grad.ndim != value.ndim + 1:
+            raise ValueError("gradient shape does not match value shape")
+        if hess.shape != grad.shape + grad.shape[-1:]:
             raise ValueError("hessian shape does not match gradient length")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value",
+                           float(value) if value.ndim == 0 else value)
         object.__setattr__(self, "gradient", grad)
-        object.__setattr__(self, "hessian", 0.5 * (hess + hess.T))
+        object.__setattr__(self, "hessian",
+                           0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
     @property
     def n(self) -> int:
-        return self.gradient.size
+        return self.gradient.shape[-1]
 
     @classmethod
     def constant(cls, value: float, n: int) -> "ScalarJet2":
         return cls(value, np.zeros(n), np.zeros((n, n)))
 
 
+def _col(value, k: int = 1) -> np.ndarray:
+    """A per-point value with k trailing unit axes, to broadcast against
+    per-component arrays."""
+    return np.reshape(value, np.shape(value) + (1,) * k)
+
+
+def _diag(m: np.ndarray) -> np.ndarray:
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
 def _check_phi(phi: ScalarJet2) -> None:
-    if abs(phi.value) < TOL_PHI:
+    small = np.abs(phi.value)
+    small = small[small < TOL_PHI]
+    if small.size:
         raise DegenerateConformalFactor(
-            f"|phi| = {abs(phi.value):.3e} below guard {TOL_PHI}"
+            f"|phi| = {small.min():.3e} below guard {TOL_PHI}"
         )
 
 
@@ -99,17 +119,17 @@ def conformal_christoffel(sig: Signature, phi: ScalarJet2,
     g = phi.gradient
     if i == j:
         if k == i:
-            return -g[i] / phi.value
-        return sig.eps[i] * sig.eps[k] * g[k] / phi.value
+            return -g[..., i] / phi.value
+        return sig.eps[i] * sig.eps[k] * g[..., k] / phi.value
     if k == i:
-        return -g[j] / phi.value
+        return -g[..., j] / phi.value
     if k == j:
-        return -g[i] / phi.value
+        return -g[..., i] / phi.value
     return 0.0
 
 
 def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
-    """Ricci tensor of gbar = g/phi^2 as a symmetric n x n array.
+    """Ricci tensor of gbar = g/phi^2, symmetric (..., n, n).
 
     Ric = (1/phi^2) * { (n-2) phi Hess_g(phi)
                         + [phi lap_g(phi) - (n-1)|grad_g phi|^2] g }
@@ -119,29 +139,31 @@ def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
     _check_phi(phi)
     eps = sig.eps
     n = sig.n
-    lap = float(np.sum(eps * np.diag(phi.hessian)))
-    grad2 = float(np.sum(eps * phi.gradient ** 2))
-    out = (n - 2) * phi.value * phi.hessian.copy()
-    out += (phi.value * lap - (n - 1) * grad2) * np.diag(eps)
-    return out / phi.value ** 2
+    lap = np.sum(eps * _diag(phi.hessian), axis=-1)
+    grad2 = np.sum(eps * phi.gradient ** 2, axis=-1)
+    out = ((n - 2) * _col(phi.value, 2) * phi.hessian
+           + _col(phi.value * lap - (n - 1) * grad2, 2) * np.diag(eps))
+    return out / _col(np.square(phi.value), 2)
 
 
 def conformal_hessian(sig: Signature, phi: ScalarJet2,
                       f: ScalarJet2) -> np.ndarray:
-    """Covariant Hessian of f in the metric gbar = g/phi^2."""
+    """Covariant Hessian of f in the metric gbar = g/phi^2, (..., n, n)."""
     _check_phi(phi)
     eps = sig.eps
     gp, gf = phi.gradient, f.gradient
-    out = f.hessian + (np.outer(gp, gf) + np.outer(gf, gp)) / phi.value
-    mixed = float(np.sum(eps * gp * gf)) / phi.value
+    v = _col(phi.value)
+    cross = gp[..., :, None] * gf[..., None, :]
+    out = f.hessian + (cross + np.swapaxes(cross, -1, -2)) / v[..., None]
+    mixed = np.sum(eps * gp * gf, axis=-1)
     # Diagonal: f_,ii + 2 phi_,i f_,i / phi - eps_i * sum_k eps_k phi_,k f_,k / phi
     idx = np.arange(sig.n)
-    out[idx, idx] = (np.diag(f.hessian) + 2.0 * gp * gf / phi.value
-                     - eps * mixed)
+    out[..., idx, idx] = (_diag(f.hessian) + 2.0 * gp * gf / v
+                          - eps * _col(mixed) / v)
     return out
 
 
-def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float:
+def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float | np.ndarray:
     """Scalar curvature of gbar = g/phi^2.
 
     R = sum_k eps_k [2(n-1) phi phi_,kk - n(n-1) phi_,k^2].
@@ -149,11 +171,12 @@ def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float:
     _check_phi(phi)
     eps = sig.eps
     n = sig.n
-    return float(np.sum(eps * (2.0 * (n - 1) * phi.value * np.diag(phi.hessian)
-                               - n * (n - 1) * phi.gradient ** 2)))
+    return np.sum(eps * (2.0 * (n - 1) * _col(phi.value) * _diag(phi.hessian)
+                         - n * (n - 1) * phi.gradient ** 2), axis=-1)
 
 
-def laplacian(sig: Signature, phi: ScalarJet2, f: ScalarJet2) -> float:
+def laplacian(sig: Signature, phi: ScalarJet2,
+              f: ScalarJet2) -> float | np.ndarray:
     """Laplace-Beltrami of f in gbar: phi^2 * eps-trace of the Hessian.
 
     Expands to sum_k eps_k [phi^2 f_,kk - (n-2) phi phi_,k f_,k].
@@ -161,6 +184,6 @@ def laplacian(sig: Signature, phi: ScalarJet2, f: ScalarJet2) -> float:
     _check_phi(phi)
     eps = sig.eps
     n = sig.n
-    return float(np.sum(eps * (phi.value ** 2 * np.diag(f.hessian)
-                               - (n - 2) * phi.value
-                               * phi.gradient * f.gradient)))
+    v = _col(phi.value)
+    return np.sum(eps * (np.square(v) * _diag(f.hessian)
+                         - (n - 2) * v * phi.gradient * f.gradient), axis=-1)

@@ -10,7 +10,8 @@ formulas. They agree up to a bookkeeping factor in phi:
 
 The factor table is frozen in :func:`tensor_to_scalar_factor` and pinned by
 the test suite; the trace residual equals the eps-weighted phi^2-trace of
-the tensor residual.
+the tensor residual. Every residual takes jets at one point or at a batch
+of points and returns one value (or tensor) per point.
 """
 
 from __future__ import annotations
@@ -18,41 +19,43 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .geometry import ScalarJet2, Signature
+from .geometry import ScalarJet2, Signature, _col, _diag
 
 
 def residual_offdiag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
-                     i: int, j: int) -> float:
+                     i: int, j: int) -> float | np.ndarray:
     """(n-2) phi_,ij + phi f_,ij + phi_,i f_,j + phi_,j f_,i  (i != j)."""
     if i == j:
         raise ValueError("off-diagonal residual needs i != j")
     n = sig.n
-    return ((n - 2) * phi.hessian[i, j] + phi.value * f.hessian[i, j]
-            + phi.gradient[i] * f.gradient[j]
-            + phi.gradient[j] * f.gradient[i])
+    gp, gf = phi.gradient, f.gradient
+    return ((n - 2) * phi.hessian[..., i, j]
+            + phi.value * f.hessian[..., i, j]
+            + gp[..., i] * gf[..., j] + gp[..., j] * gf[..., i])
 
 
 def residual_diag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
-                  lam: float, i: int) -> float:
+                  lam: float, i: int) -> float | np.ndarray:
     """Diagonal soliton equation residual (LHS minus eps_i * lambda).
 
     phi[(n-2) phi_,ii + phi f_,ii + 2 phi_,i f_,i]
-      + eps_i sum_k eps_k [phi phi_,kk - (n-1) phi_,k^2 - phi phi_,k f_,k]
-      - eps_i lambda.
+      + eps_i (sum_k eps_k [phi phi_,kk - (n-1) phi_,k^2 - phi phi_,k f_,k]
+               - lambda).
     """
     eps = sig.eps
     n = sig.n
-    common = float(np.sum(eps * (phi.value * np.diag(phi.hessian)
-                                 - (n - 1) * phi.gradient ** 2
-                                 - phi.value * phi.gradient * f.gradient)))
-    own = phi.value * ((n - 2) * phi.hessian[i, i]
-                       + phi.value * f.hessian[i, i]
-                       + 2.0 * phi.gradient[i] * f.gradient[i])
-    return own + eps[i] * common - eps[i] * lam
+    v = _col(phi.value)
+    gp, gf = phi.gradient, f.gradient
+    common = np.sum(eps * (v * _diag(phi.hessian) - (n - 1) * gp ** 2
+                           - v * gp * gf), axis=-1)
+    own = phi.value * ((n - 2) * phi.hessian[..., i, i]
+                       + phi.value * f.hessian[..., i, i]
+                       + 2.0 * gp[..., i] * gf[..., i])
+    return own + eps[i] * (common - lam)
 
 
 def residual_trace(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
-                   lam: float) -> float:
+                   lam: float) -> float | np.ndarray:
     """Residual of the contracted identity R + lap(f) = n*lambda.
 
     sum_k eps_k [2(n-1) phi phi_,kk - n(n-1) phi_,k^2 + phi^2 f_,kk
@@ -60,21 +63,22 @@ def residual_trace(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
     """
     eps = sig.eps
     n = sig.n
-    total = float(np.sum(eps * (
-        2.0 * (n - 1) * phi.value * np.diag(phi.hessian)
-        - n * (n - 1) * phi.gradient ** 2
-        + phi.value ** 2 * np.diag(f.hessian)
-        - (n - 2) * phi.value * phi.gradient * f.gradient)))
+    v = _col(phi.value)
+    gp, gf = phi.gradient, f.gradient
+    total = np.sum(eps * (2.0 * (n - 1) * v * _diag(phi.hessian)
+                          - n * (n - 1) * gp ** 2
+                          + np.square(v) * _diag(f.hessian)
+                          - (n - 2) * v * gp * gf), axis=-1)
     return total - n * lam
 
 
 def residual_soliton_tensor(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
                             lam: float) -> np.ndarray:
-    """Ric_gbar + Hess_gbar(f) - lambda * gbar via the geometric route."""
+    """Ric_gbar + Hess_gbar(f) - lambda * gbar via the geometric route,
+    (..., n, n)."""
     ric = geometry.conformal_ricci(sig, phi)
     hess = geometry.conformal_hessian(sig, phi, f)
-    gbar = np.diag(sig.eps) / phi.value ** 2
-    return ric + hess - lam * gbar
+    return ric + hess - lam * np.diag(sig.eps) / _col(np.square(phi.value), 2)
 
 
 def tensor_to_scalar_factor(phi_value: float, diagonal: bool) -> float:

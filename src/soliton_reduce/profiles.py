@@ -10,7 +10,8 @@ the one-point form, returning a :class:`ProfileSample`. Closed-form gallery
 entries, numerically integrated solutions and CSV node data share this
 interface, so lifting to ambient jets and residual verification never care
 where a profile came from; callers evaluate whole batches of xi at once
-(sampling filters, residual kernels, the FD oracle's stencils, CSV rows).
+(sampling filters, lifted residual jets, the FD oracle's stencils, CSV
+rows).
 """
 
 from __future__ import annotations
@@ -113,15 +114,28 @@ class ClosedFormProfile(Profile):
 
 def lift(a: QuadricAnsatz, prof: Profile,
          x: np.ndarray) -> tuple[ScalarJet2, ScalarJet2]:
-    """Ambient 2-jets of phi(xi(x)) and f(xi(x)) by the chain rule.
+    """Ambient 2-jets of phi(xi(x)) and f(xi(x)) at a point x (n,) or at
+    each point of x (..., n), with one `prof.evaluate` call."""
+    xi = xi_jet(a, x)
+    shape = np.shape(xi.value)
+    data = prof.evaluate(np.reshape(xi.value, -1))
+    return compose(xi, [v.reshape(shape) for v in data])
+
+
+def compose(xi: ScalarJet2, data) -> tuple[ScalarJet2, ScalarJet2]:
+    """Jets of phi(xi) and f(xi) by the chain rule, from the jet of xi and
+    the profile data (phi, dphi, ddphi, f, df, ddf) at its value.
 
     phi_,i = phi' xi_,i and phi_,ij = phi'' xi_,i xi_,j + phi' xi_,ij, with
     the analogous formulas for f.
     """
-    jet = xi_jet(a, np.asarray(x, dtype=float))
-    s = prof.sample(jet.value)
-    u = jet.gradient
-    uu = np.outer(u, u)
-    phi_jet = ScalarJet2(s.phi, s.dphi * u, s.ddphi * uu + s.dphi * jet.hessian)
-    f_jet = ScalarJet2(s.f, s.df * u, s.ddf * uu + s.df * jet.hessian)
-    return phi_jet, f_jet
+    u = xi.gradient
+    uu = u[..., :, None] * u[..., None, :]
+
+    def jet(value, d1, d2):
+        d1 = d1[..., None]
+        return ScalarJet2(value, d1 * u,
+                          d2[..., None, None] * uu + d1[..., None] * xi.hessian)
+
+    phi, dphi, ddphi, f, df, ddf = data
+    return jet(phi, dphi, ddphi), jet(f, df, ddf)

@@ -15,15 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
-from .ansatz import xi_values
-from .errors import (
-    OutOfDomain,
-    SamplingExhausted,
-    SolitonReduceError,
-    StencilOutOfDomain,
-)
-from .profiles import Profile
+from . import geometry, pde
+from .ansatz import xi_jet, xi_values
+from .errors import OutOfDomain, SamplingExhausted, StencilOutOfDomain
+from .profiles import Profile, compose, lift
 from .reduction import TOL_SING, SolitonProblem
 
 DEFAULT_THRESHOLD = 1e-8
@@ -147,7 +142,8 @@ def _accepted(p: SolitonProblem, prof: Profile, spec: SampleSpec,
         near = np.abs(4.0 * tau * xis + p.lambda_constant) \
             < max(spec.exclusion_sing, TOL_SING)
         xis = np.where(near, np.nan, xis)
-    return np.abs(_evaluable_phi(prof, xis)) >= spec.exclusion_phi
+    return np.abs(_evaluable_phi(prof, xis)) \
+        >= max(spec.exclusion_phi, geometry.TOL_PHI)
 
 
 def draw_points(p: SolitonProblem, prof: Profile,
@@ -193,13 +189,24 @@ def draw_points(p: SolitonProblem, prof: Profile,
 
 def residual_maxima(p: SolitonProblem, prof: Profile,
                     xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-point max-abs residuals of all four families at ambient points."""
-    xs = np.asarray(xs, dtype=float)
-    phi, dphi, ddphi, _, df, ddf = prof.evaluate(xi_values(p.ansatz, xs))
-    return _kernels.batch_residuals(
-        p.sig.eps, p.ansatz.tau, p.ansatz.alpha, xs,
-        phi, dphi, ddphi, df, ddf, p.lam,
-    ) + (phi, ddphi)
+    """Per-point max-abs residuals of all four families at ambient points
+    xs (m, n): off-diagonal and diagonal scalar equations, the trace
+    identity and the tensor equation. Also returns phi and phi'' there."""
+    xi = xi_jet(p.ansatz, xs)
+    data = prof.evaluate(xi.value)
+    phi, f = compose(xi, data)
+    sig, lam, n = p.sig, p.lam, p.n
+    # Both (i, j) and (j, i): they add the cross terms in opposite order,
+    # so they can differ in the last bit.
+    off = np.max(np.abs([pde.residual_offdiag(sig, phi, f, i, j)
+                         for i in range(n) for j in range(n) if i != j]),
+                 axis=0)
+    diag = np.max(np.abs([pde.residual_diag(sig, phi, f, lam, i)
+                          for i in range(n)]), axis=0)
+    trace = np.abs(pde.residual_trace(sig, phi, f, lam))
+    tensor = np.max(np.abs(pde.residual_soliton_tensor(sig, phi, f, lam)),
+                    axis=(-2, -1))
+    return off, diag, trace, tensor, data[0], data[2]
 
 
 def residual_scale(lam: float, phi: np.ndarray, ddphi: np.ndarray) -> float:
@@ -251,26 +258,19 @@ def _profile_oracle_gap(p: SolitonProblem, prof: Profile,
     Points whose stencil leaves the profile's domain, or meets a point
     where the profile is not evaluable, are skipped.
     """
-    from . import geometry
-    from .profiles import lift
-
     def phi_field(pts):
         return _evaluable_phi(prof, xi_values(p.ansatz, pts))
 
     ricci_fd, rates = fd_curvature_oracle(p.sig, phi_field, xs, ORACLE_STEP)
-    worst = None
-    for x, ric_x, rate in zip(xs, ricci_fd, rates):
-        if np.isnan(rate):
-            continue
-        try:
-            phi_jet, _ = lift(p.ansatz, prof, x)
-            ricci = geometry.conformal_ricci(p.sig, phi_jet)
-        except SolitonReduceError:
-            continue
-        gap = float(np.max(np.abs(ric_x - ricci)))
-        if worst is None or gap > worst.gap:
-            worst = OracleGap(gap=gap, step=ORACLE_STEP, rate=float(rate))
-    return worst
+    ok = ~np.isnan(rates)
+    if not np.any(ok):
+        return None
+    phi, _ = lift(p.ansatz, prof, xs[ok])
+    gaps = np.max(np.abs(ricci_fd[ok] - geometry.conformal_ricci(p.sig, phi)),
+                  axis=(-2, -1))
+    worst = int(np.argmax(gaps))
+    return OracleGap(gap=float(gaps[worst]), step=ORACLE_STEP,
+                     rate=float(rates[ok][worst]))
 
 
 # ---------------------------------------------------------------------------

@@ -62,26 +62,41 @@ class TestResolveConfig:
             resolve_config({"mode": "theorem2", "n": 2, "epsilon": [1, 1],
                             "xi_span": [0.0, 1.0]})
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
-    @pytest.mark.parametrize("field", [
-        "tau", "lambda", "xi_span.0", "xi_span.1", "initial.phi0",
-        "initial.df0", "tolerances.rel_tol", "tolerances.abs_tol",
-        "tolerances.max_step"])
+    @pytest.mark.parametrize("field, bad", [
+        (field, bad)
+        for bad in (math.nan, math.inf, -math.inf, True)
+        for field in ("tau", "lambda", "xi_span.0", "xi_span.1",
+                      "initial.phi0", "initial.df0", "tolerances.rel_tol",
+                      "tolerances.abs_tol", "tolerances.max_step")
+    ] + [
+        # Each once verified with exit 0 and "pass": 2.5 was cut to 2
+        # points, "7" and true went through int().
+        ("sample.count", 2.5), ("sample.count", "7"), ("sample.count", True),
+        # Each once died with a traceback and exit 1, which means
+        # "verification failed".
+        ("sample.count", 0), ("sample.seed", -1), ("sample.box.0.0", math.nan),
+        ("sample.box.1.1", math.inf), ("sample.box.1.0", 2.0),
+        # NaN and Infinity once emptied every batch; -1 excluded nothing.
+        ("sample.exclusion_phi", math.nan), ("sample.exclusion_phi", -1.0),
+        ("sample.exclusion_sing", math.inf),
+        # solve once wrote a CSV of 0, 1 or int(2.5) = 2 rows with exit 0.
+        ("output.points", 0), ("output.points", 1), ("output.points", 2.5),
+    ])
     def test_rejects_non_finite_and_bool(self, tmp_path, field, bad):
         raw = json.loads(write_config(tmp_path / "c.json").read_text())
         raw["tolerances"] = {"rel_tol": 1e-10, "abs_tol": 1e-12,
                              "max_step": 0.5}
         resolve_config(json.loads(json.dumps(raw)))  # the base is valid
-        key, _, sub = field.partition(".")
-        if key == "xi_span":
-            raw[key][int(sub)] = bad
-        elif sub:
-            raw[key][sub] = bad
-        else:
-            raw[key] = bad
+        *path, last = [int(k) if k.isdigit() else k
+                       for k in field.split(".")]
+        target = raw
+        for k in path:
+            target = target[k]
+        target[last] = bad
         with pytest.raises(ConfigInvalid) as exc:
             resolve_config(raw)
-        assert any(m.startswith(key) for m in exc.value.messages)
+        assert any(m.startswith(path[0] if path else last)
+                   for m in exc.value.messages)
 
     def test_theorem3_initial_checked(self):
         base = {"mode": "theorem3", "n": 2, "epsilon": [1, 1], "tau": 1.0,
@@ -242,6 +257,40 @@ class TestErrorExitCodes:
         assert out.returncode == 2, out.stderr
         assert "invalid configuration" in out.stderr
         assert not (tmp_path / "profile.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--points", "0"], ["--points", "-5"],
+                                      ["--seed", "-1"]],
+                             ids=["points_0", "points_negative",
+                                  "seed_negative"])
+    def test_bad_verify_flags_exit_2(self, tmp_path, flag):
+        # --points 0 once fell back to the config's count; a negative count
+        # or seed died with a traceback and exit 1.
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        out = subprocess.run(
+            [sys.executable, "-m", "soliton_reduce.cli", "verify", str(cfg),
+             str(tmp_path / "profile.csv"), "--out", str(tmp_path), *flag],
+            env=package_env(), capture_output=True, text=True, timeout=30)
+        assert out.returncode == 2, out.stderr
+        assert f"invalid configuration: {flag[0]}:" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "report.json").exists()
+
+    def test_bad_sample_spec_exits_2(self, tmp_path, capsys):
+        # An unknown sampling mode, or a grid too small for 2 points per
+        # axis, once died with a traceback and exit 1.
+        cfg = write_config(tmp_path / "cfg.json", sample={
+            "box": [[-2.0, 2.0], [-2.0, 2.0]], "mode": "sobol"})
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        prof = str(tmp_path / "profile.csv")
+        assert main(["verify", str(cfg), prof, "--out", str(tmp_path)]) == 2
+        assert "sample: unknown sampling mode" in capsys.readouterr().err
+        grid = write_config(tmp_path / "grid.json", sample={
+            "box": [[-2.0, 2.0], [-2.0, 2.0]], "mode": "grid"})
+        assert main(["verify", str(grid), prof, "--points", "3",
+                     "--out", str(tmp_path)]) == 2
+        assert "sample: grid mode needs" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_lightlike_direction_rejected(self, tmp_path, capsys):
         # tau = 0 with lightlike alpha (Lambda = 0) must exit 2.

@@ -1,22 +1,35 @@
 """Residuals of the soliton system: two-route agreement, the lifted
-single-variable form, and gauge behavior."""
+single-variable form, batched against per-point evaluation, and gauge
+behavior."""
 
 import numpy as np
 import pytest
 
 from conftest import random_ansatz, random_jet, random_signature, rng
 from soliton_reduce import (
+    ClosedFormProfile,
+    SampleSpec,
     ScalarJet2,
     Signature,
+    SolitonProblem,
+    conformal_christoffel,
+    conformal_hessian,
+    conformal_ricci,
     gallery,
+    laplacian,
     lift,
     residual_diag,
     residual_offdiag,
     residual_soliton_tensor,
     residual_trace,
+    scalar_curvature,
     xi_jet,
 )
+from soliton_reduce.ansatz import QuadricAnsatz
+from soliton_reduce.errors import DegenerateConformalFactor
+from soliton_reduce.geometry import TOL_PHI
 from soliton_reduce.pde import tensor_to_scalar_factor
+from soliton_reduce.verify import draw_points, residual_maxima
 
 
 class TestTwoRouteAgreement:
@@ -90,6 +103,113 @@ class TestLiftedForm:
                         rhs = s1 * u[i] * u[j] + s0 * jet.hessian[i, j]
                         scale = max(1.0, abs(lhs), abs(rhs))
                         assert abs(lhs - rhs) / scale < 1e-11
+
+
+def jet_formulas(sig, lam):
+    """Every jet formula of geometry and pde, as calls on (phi, f)."""
+    n = sig.n
+    calls = [
+        lambda phi, f: conformal_ricci(sig, phi),
+        lambda phi, f: conformal_hessian(sig, phi, f),
+        lambda phi, f: scalar_curvature(sig, phi),
+        lambda phi, f: laplacian(sig, phi, f),
+        lambda phi, f: residual_trace(sig, phi, f, lam),
+        lambda phi, f: residual_soliton_tensor(sig, phi, f, lam),
+    ]
+    for i in range(n):
+        calls.append(lambda phi, f, i=i: residual_diag(sig, phi, f, lam, i))
+        for j in range(n):
+            if i != j:
+                calls.append(lambda phi, f, i=i, j=j:
+                             residual_offdiag(sig, phi, f, i, j))
+            for k in range(n):
+                calls.append(lambda phi, f, i=i, j=j, k=k:
+                             conformal_christoffel(sig, phi, i, j, k))
+    return calls
+
+
+def same_jet(a, b):
+    return (np.array_equal(a.value, b.value)
+            and np.array_equal(a.gradient, b.gradient)
+            and np.array_equal(a.hessian, b.hessian))
+
+
+class TestBatchedJets:
+    """Jets, lifts and every formula take a leading batch axis; a batch
+    gives exactly what one call per point gives."""
+
+    def test_batched_equals_per_point(self):
+        gen = rng(62)
+        m = 25
+        for n in (2, 3, 5):
+            sig = random_signature(gen, n)
+            lam = float(gen.uniform(-2.0, 2.0))
+            raw = [(gen.uniform(0.5, 2.0, m) * np.where(
+                        gen.uniform(size=m) < 0.5, -1.0, 1.0),
+                    gen.uniform(-1.0, 1.0, (m, n)),
+                    gen.uniform(-1.0, 1.0, (m, n, n))) for _ in range(2)]
+            phi, f = (ScalarJet2(*r) for r in raw)
+            points = [tuple(ScalarJet2(v[p], g[p], h[p]) for v, g, h in raw)
+                      for p in range(m)]
+            for call in jet_formulas(sig, lam):
+                batched = np.broadcast_to(call(phi, f), (m,) + np.shape(
+                    call(*points[0])))
+                single = np.array([call(*pt) for pt in points])
+                assert np.array_equal(batched, single)
+
+    def test_lift_batched_equals_per_point(self):
+        gen = rng(63)
+        for entry in (gallery("gaussian", n=3, k=2.0, tau=-1.0, lam=-3.0),
+                      gallery("cigar"), gallery("space_form", n=4)):
+            a, prof = entry.problem.ansatz, entry.profile
+            xs = draw_points(entry.problem, prof, SampleSpec(
+                box=[(-2.0, 2.0)] * a.n, count=30, seed=3))
+            xi = xi_jet(a, xs)
+            lifted = lift(a, prof, xs.reshape(5, 6, a.n))
+            for p, x in enumerate(xs):
+                assert same_jet(ScalarJet2(xi.value[p], xi.gradient[p],
+                                           xi.hessian[p]), xi_jet(a, x))
+                one = lift(a, prof, x)
+                for batch, single in zip(lifted, one):
+                    assert isinstance(single.value, float)
+                    assert same_jet(ScalarJet2(
+                        batch.value.reshape(-1)[p],
+                        batch.gradient.reshape(-1, a.n)[p],
+                        batch.hessian.reshape(-1, a.n, a.n)[p]), single)
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError):
+            ScalarJet2(np.ones(3), np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            ScalarJet2(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3, 2)))
+        jet = ScalarJet2(np.ones(4), np.zeros((4, 3)), np.zeros((4, 3, 3)))
+        assert jet.n == 3
+
+    def test_phi_guard_on_batch(self):
+        # One point below the guard fails the whole batch.
+        phi = ScalarJet2([1.0, -1e-13], np.zeros((2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(DegenerateConformalFactor, match="1.000e-13"):
+            conformal_ricci(Signature.riemannian(2), phi)
+
+
+class TestExclusionFloor:
+    def test_no_point_below_phi_guard(self):
+        # phi = xi + 1e-13 with xi = x_0: the 3 x 3 grid on [-1, 1]^2 puts
+        # three points at |phi| = 1e-13. exclusion_phi = 0 must not let
+        # them through to the residual formulas.
+        sig = Signature.riemannian(2)
+        p = SolitonProblem(sig, QuadricAnsatz(0.0, [1.0, 0.0], [0.0, 0.0],
+                                              sig), 0.0)
+        prof = ClosedFormProfile(
+            phi=lambda xi: xi + 1e-13, dphi=lambda xi: 1.0,
+            ddphi=lambda xi: 0.0, f=lambda xi: 0.0, df=lambda xi: 0.0,
+            ddf=lambda xi: 0.0)
+        spec = SampleSpec(box=[(-1.0, 1.0)] * 2, mode="grid", count=9,
+                          exclusion_phi=0.0)
+        pts = draw_points(p, prof, spec)
+        assert len(pts) == 6
+        assert np.all(np.abs(pts[:, 0] + 1e-13) >= TOL_PHI)
+        residual_maxima(p, prof, pts)  # the phi guard does not trip
 
 
 class TestKnownSolutions:
