@@ -35,8 +35,9 @@ def residual_offdiag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
 
 
 def residual_diag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
-                  lam: float, i: int) -> float | np.ndarray:
-    """Diagonal soliton equation residual (LHS minus eps_i * lambda).
+                  lam: float) -> np.ndarray:
+    """Diagonal soliton equation residuals (LHS minus eps_i * lambda) for
+    every i, (..., n).
 
     phi[(n-2) phi_,ii + phi f_,ii + 2 phi_,i f_,i]
       + eps_i (sum_k eps_k [phi phi_,kk - (n-1) phi_,k^2 - phi phi_,k f_,k]
@@ -48,10 +49,9 @@ def residual_diag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
     gp, gf = phi.gradient, f.gradient
     common = np.sum(eps * (v * _diag(phi.hessian) - (n - 1) * gp ** 2
                            - v * gp * gf), axis=-1)
-    own = phi.value * ((n - 2) * phi.hessian[..., i, i]
-                       + phi.value * f.hessian[..., i, i]
-                       + 2.0 * gp[..., i] * gf[..., i])
-    return own + eps[i] * (common - lam)
+    own = v * ((n - 2) * _diag(phi.hessian) + v * _diag(f.hessian)
+               + 2.0 * gp * gf)
+    return own + eps * (_col(common) - lam)
 
 
 def residual_trace(sig: Signature, phi: ScalarJet2, f: ScalarJet2,

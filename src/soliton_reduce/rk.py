@@ -213,10 +213,15 @@ def _bisect_event(g, step, t_lo: float, t_hi: float) -> float:
 def integrate(f: Callable[[float, np.ndarray], np.ndarray],
               y0: Sequence[float],
               cfg: IntegrationConfig) -> RawSolution:
-    """Integrate y' = f(t, y) over cfg.xi_span from y0."""
+    """Integrate y' = f(t, y) over cfg.xi_span from a finite y0."""
     t0, tf = cfg.xi_span
     y = np.asarray(y0, dtype=float).copy()
     direction = math.copysign(1.0, tf - t0)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"initial state component y0[{i}] = {y[i]} "
+                         "is not finite")
 
     for ev in cfg.events:
         if ev.g(t0, y) <= 0.0:

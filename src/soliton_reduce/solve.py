@@ -6,8 +6,9 @@ at query time, so the algebraic relations between (phi'', f'') and the
 first-order data hold exactly along the dense output. CSV-backed profiles
 cannot do that without assuming the conclusion (the RHS *defines* the
 second derivatives by the equations under test), so they differentiate
-spline fits of the stored first-derivative columns instead; their residual
-floor is the spline reconstruction error, not machine epsilon.
+not-a-knot cubic spline fits of the stored first-derivative columns
+instead; their residual floor is the spline reconstruction error, O(dxi^3)
+in the node spacing, not machine epsilon.
 """
 
 from __future__ import annotations
@@ -169,22 +170,68 @@ def solve_special(p: SolitonProblem, sp: SpecialParams,
     return SpecialProfile(p, sp, sol)
 
 
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power coefficients (4, n-1, m) of the not-a-knot cubic splines
+    through the columns of y (n, m) at strictly increasing nodes x
+    (n >= 4): one cubic per interval and column, highest power first, in
+    s = xi - x[interval].
+
+    The node slopes solve a tridiagonal system. Interior rows make the
+    second derivative continuous across each node; the end rows make the
+    third derivative continuous across x[1] and x[-2]. One Thomas sweep
+    without pivoting solves it, its multipliers serving every column.
+    """
+    h = np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (h[1:, None] * slope[:-1] + h[:-1, None] * slope[1:])
+    hs = h.tolist()
+    d0, d1 = float(x[2] - x[0]), float(x[-1] - x[-3])
+    b[0] = ((hs[0] + 2 * d0) * hs[1] * slope[0] + hs[0] ** 2 * slope[1]) / d0
+    b[-1] = (hs[-1] ** 2 * slope[-2]
+             + (2 * d1 + hs[-1]) * hs[-2] * slope[-1]) / d1
+    # Row i holds lower[i - 1], diag[i], upper[i].
+    lower = [*hs[1:], d1]
+    diag = [hs[1], *(2 * (p + q) for p, q in zip(hs, hs[1:])), hs[-2]]
+    upper = [d0, *hs[:-1]]
+    mult = []
+    for i in range(len(lower)):
+        mult.append(lower[i] / diag[i])
+        diag[i + 1] -= mult[i] * upper[i]
+    slopes = []
+    for col in b.T.tolist():
+        r = col[0]
+        fwd = [r]
+        for m, p in zip(mult, col[1:]):
+            r = p - m * r
+            fwd.append(r)
+        r = r / diag[-1]
+        back = [r]
+        for p, u, d in zip(fwd[-2::-1], upper[::-1], diag[-2::-1]):
+            r = (p - u * r) / d
+            back.append(r)
+        slopes.append(back[::-1])
+    s = np.array(slopes).T
+    # Hermite form of each interval's cubic from its end values and slopes.
+    h = h[:, None]
+    t = (s[:-1] + s[1:] - 2 * slope) / h
+    return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+
+
 class NodeProfile(Profile):
     """Profile reconstructed from sampled (xi, phi, dphi, f, df) rows.
 
-    phi and f values interpolate their own columns; first derivatives come
-    from cubic splines of the dphi/df columns, second derivatives from the
-    spline derivatives. Nothing is taken from the reduced equations, so
-    residual verification of this profile is a genuine check of the stored
-    data. Accuracy is limited by the node spacing (O(h^3) on the second
-    derivatives).
+    Each of the four columns gets a not-a-knot cubic spline: C2 through its
+    node values, with the third derivative also continuous across the
+    second and the second-to-last node. phi and f interpolate their own
+    columns; first derivatives come from the splines of the dphi/df
+    columns, second derivatives from those splines' derivatives. Nothing
+    is taken from the reduced equations, so residual verification of this
+    profile is a genuine check of the stored data. Accuracy is limited by
+    the node spacing: O(dxi^3) on the second derivatives.
     """
 
     def __init__(self, xi, phi, dphi, f, df):
-        # Imported here: scipy.interpolate costs about half a second, and
-        # only CSV-backed profiles need it.
-        from scipy.interpolate import CubicSpline
-
         xi = np.asarray(xi, dtype=float)
         if xi.size < 4:
             raise ProfileMalformed("need at least 4 profile rows")
@@ -198,16 +245,22 @@ class NodeProfile(Profile):
         cols = [c[order] for c in cols]
         if not all(np.all(np.isfinite(c)) for c in [xi, *cols]):
             raise ProfileMalformed("non-finite values in profile")
-        phi, dphi, f, df = cols
-        self._phi = CubicSpline(xi, phi)
-        self._dphi = CubicSpline(xi, dphi)
-        self._f = CubicSpline(xi, f)
-        self._df = CubicSpline(xi, df)
+        self._coeffs = _not_a_knot_spline(xi, np.stack(cols, axis=1))
         self.nodes = xi
         self.xi_min, self.xi_max = float(xi[0]), float(xi[-1])
         self.termination = None
 
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
         xis = self._check_domain(xis)
-        return (self._phi(xis), self._dphi(xis), self._dphi(xis, 1),
-                self._f(xis), self._df(xis), self._df(xis, 1))
+        i = np.clip(np.searchsorted(self.nodes, xis, side="right") - 1,
+                    0, self.nodes.size - 2)
+        s = (xis - self.nodes[i])[..., None]
+        c0, c1, c2, c3 = self._coeffs[:, i]
+        s2 = s * s
+        # Ascending powers, summed left to right: the order fixes the
+        # rounding.
+        value = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        slope = c2 + c1 * s * 2 + c0 * s2 * 3
+        phi, dphi, f, df = np.moveaxis(value, -1, 0)
+        ddphi, ddf = np.moveaxis(slope[..., 1::2], -1, 0)
+        return phi, dphi, ddphi, f, df, ddf

@@ -43,9 +43,18 @@ class SampleSpec:
     exclusion_sing: float = 1e-8  # min |4 tau xi + Lambda|
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for lo, hi in self.box:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("box bounds must be finite")
             if not lo < hi:
                 raise ValueError("box intervals must be non-degenerate")
         if self.mode not in ("random", "grid"):
@@ -201,8 +210,7 @@ def residual_maxima(p: SolitonProblem, prof: Profile,
     off = np.max(np.abs([pde.residual_offdiag(sig, phi, f, i, j)
                          for i in range(n) for j in range(n) if i != j]),
                  axis=0)
-    diag = np.max(np.abs([pde.residual_diag(sig, phi, f, lam, i)
-                          for i in range(n)]), axis=0)
+    diag = np.max(np.abs(pde.residual_diag(sig, phi, f, lam)), axis=-1)
     trace = np.abs(pde.residual_trace(sig, phi, f, lam))
     tensor = np.max(np.abs(pde.residual_soliton_tensor(sig, phi, f, lam)),
                     axis=(-2, -1))

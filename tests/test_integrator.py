@@ -201,3 +201,16 @@ class TestNonFinite:
         with pytest.raises(StepSizeUnderflow):
             integrate(lambda t, y: np.array([math.nan]), [0.0],
                       IntegrationConfig(xi_span=(0.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        with pytest.raises(ValueError, match=r"y0\[1\]"):
+            integrate(rhs, [1.0, bad, 0.0],
+                      IntegrationConfig(xi_span=(0.0, 1.0)))
+        assert calls == []  # rejected before the first RHS evaluation

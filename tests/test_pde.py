@@ -43,8 +43,10 @@ class TestTwoRouteAgreement:
             f = random_jet(gen, n)
             lam = float(gen.uniform(-2, 2))
             tensor = residual_soliton_tensor(sig, phi, f, lam)
+            diags = residual_diag(sig, phi, f, lam)
+            assert diags.shape == (n,)
             for i in range(n):
-                diag = residual_diag(sig, phi, f, lam, i)
+                diag = diags[i]
                 factor = tensor_to_scalar_factor(phi.value, diagonal=True)
                 assert diag == pytest.approx(factor * tensor[i, i],
                                              abs=1e-10)
@@ -116,8 +118,8 @@ def jet_formulas(sig, lam):
         lambda phi, f: residual_trace(sig, phi, f, lam),
         lambda phi, f: residual_soliton_tensor(sig, phi, f, lam),
     ]
+    calls.append(lambda phi, f: residual_diag(sig, phi, f, lam))
     for i in range(n):
-        calls.append(lambda phi, f, i=i: residual_diag(sig, phi, f, lam, i))
         for j in range(n):
             if i != j:
                 calls.append(lambda phi, f, i=i, j=j:
@@ -243,10 +245,9 @@ class TestKnownSolutions:
         x = np.array([0.7, -0.4])
         phi, f = self._lifted(entry, x)
         d = 0.37
-        for i in range(2):
-            r0 = residual_diag(p.sig, phi, f, 0.0, i)
-            r1 = residual_diag(p.sig, phi, f, d, i)
-            assert r1 - r0 == pytest.approx(-p.sig.eps[i] * d, abs=1e-14)
+        r0 = residual_diag(p.sig, phi, f, 0.0)
+        r1 = residual_diag(p.sig, phi, f, d)
+        assert r1 - r0 == pytest.approx(-p.sig.eps * d, abs=1e-14)
         t0 = residual_soliton_tensor(p.sig, phi, f, 0.0)
         t1 = residual_soliton_tensor(p.sig, phi, f, d)
         assert np.allclose(t1 - t0,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import package_env
+from conftest import package_env, rng
 
 from soliton_reduce import (
     IntegrationConfig,
@@ -199,12 +199,126 @@ class TestNodeProfile:
             prof.sample(100.0)
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    # scipy.interpolate costs about half a second to import; only
-    # NodeProfile needs it, so importing the package must not load it.
-    code = ("import sys, soliton_reduce; "
-            "print('scipy.interpolate' in sys.modules)")
+def spline_columns(x, gen):
+    """Four smooth columns on the nodes x, scaled apart."""
+    t = (x - x[0]) / (x[-1] - x[0])
+    return np.stack([np.sin(3.0 * t) + 2.0, 1e3 * np.cos(t),
+                     1e-3 * np.exp(t), gen.normal(size=x.size)])
+
+
+def evaluate_columns(prof, xs):
+    return np.stack(prof.evaluate(xs))
+
+
+def spline_reference(x, cols, xs):
+    """(phi, dphi, ddphi, f, df, ddf) from scipy's CubicSpline."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    phi, dphi, f, df = (interpolate.CubicSpline(x, c) for c in cols)
+    return np.stack([phi(xs), dphi(xs), dphi(xs, 1), f(xs), df(xs),
+                     df(xs, 1)])
+
+
+def relative_gap(got, want):
+    """Max |got - want| per field, relative to that field's max |want|."""
+    scale = np.max(np.abs(want), axis=1)
+    return np.max(np.abs(got - want), axis=1) / np.where(scale > 0, scale,
+                                                        1.0)
+
+
+#: Node sets: uniform, linspace, geometric, and graded steps from 1e-8 to
+#: 1e6.
+SPLINE_GRIDS = {
+    "uniform": lambda n: np.arange(n, dtype=float),
+    "linspace": lambda n: np.linspace(-1.3, 2.9, n),
+    "geometric": lambda n: np.geomspace(1e-3, 1e3, n),
+    "graded": lambda n: np.concatenate(
+        [[0.0], np.cumsum(np.logspace(-8.0, 6.0, n - 1))]),
+}
+
+
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("grid", ["uniform", "linspace", "jittered"])
+    @pytest.mark.parametrize("n", [4, 5, 9, 200])
+    def test_reproduces_cubics(self, grid, n):
+        # Cubic data is reproduced exactly by a not-a-knot spline: values,
+        # first and second derivatives, between the nodes too. (On the
+        # strongly graded grids the data itself cannot pin a cubic down to
+        # 1e-13: differences of values 1e-8 apart lose half the digits.)
+        x = np.cumsum(rng(n).uniform(0.5, 2.0, n)) if grid == "jittered" \
+            else SPLINE_GRIDS[grid](n)
+        mid = 0.5 * (x[0] + x[-1])
+        u = (x - mid) / (x[-1] - x[0])
+        cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, 2.5])
+        quad = np.polynomial.Polynomial([1.0, 0.4, -3.0])
+        prof = NodeProfile(x, cubic(u), quad(u), -cubic(u), 5.0 * quad(u))
+        xs = np.concatenate([x, np.linspace(x[0], x[-1], 37)])
+        us = (xs - mid) / (x[-1] - x[0])
+        dquad = quad.deriv()(us) / (x[-1] - x[0])
+        want = np.stack([cubic(us), quad(us), dquad, -cubic(us),
+                         5.0 * quad(us), 5.0 * dquad])
+        assert np.all(relative_gap(evaluate_columns(prof, xs), want)
+                      <= 1e-13)
+
+    @pytest.mark.parametrize("grid", sorted(SPLINE_GRIDS))
+    @pytest.mark.parametrize("n", [4, 5, 60])
+    def test_matches_scipy(self, grid, n):
+        x = SPLINE_GRIDS[grid](n)
+        cols = spline_columns(x, rng(n))
+        xs = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [x[0], x[-1]]])
+        got = evaluate_columns(NodeProfile(x, *cols), xs)
+        assert np.all(relative_gap(got, spline_reference(x, cols, xs))
+                      <= 1e-12)
+
+    def test_cigar_csv_equals_scipy(self, tmp_path):
+        # The theorem-2 cigar CSV that `solve` writes (2001 uniform rows):
+        # on this grid the sweep is bit-identical to scipy's solver.
+        from test_cli import write_config
+
+        from soliton_reduce.cli import main, read_profile_csv
+
+        cfg = write_config(tmp_path / "cfg.json", output={"points": 2001})
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        data = np.loadtxt(tmp_path / "profile.csv", delimiter=",",
+                          skiprows=2)
+        prof = read_profile_csv(tmp_path / "profile.csv", 2)
+        x = data[:, 0]
+        xs = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+        assert np.array_equal(evaluate_columns(prof, xs),
+                              spline_reference(x, data[:, 1:].T, xs))
+
+    def test_scalar_and_zero_dim_queries(self):
+        x = np.linspace(0.0, 2.0, 11)
+        cols = spline_columns(x, rng(1))
+        prof = NodeProfile(x, *cols)
+        batch = evaluate_columns(prof, x)
+        for k, xi in enumerate(x):
+            s = prof.sample(float(xi))
+            assert isinstance(s.phi, float)
+            assert [s.phi, s.dphi, s.ddphi, s.f, s.df, s.ddf] == \
+                batch[:, k].tolist()
+            zero_dim = prof.evaluate(np.float64(xi))
+            assert all(np.shape(v) == () for v in zero_dim)
+            assert [float(v) for v in zero_dim] == batch[:, k].tolist()
+        assert prof.sample(2.0).phi == cols[0][-1]
+
+
+def test_cli_round_trip_loads_no_scipy(tmp_path):
+    # `solve` then `verify` in one interpreter: neither may load scipy,
+    # which is not a runtime dependency.
+    from test_cli import write_config
+
+    cfg = write_config(tmp_path / "cfg.json", output={"points": 300})
+    code = (
+        "import sys\n"
+        "from soliton_reduce.cli import main\n"
+        f"cfg, out = {str(cfg)!r}, {str(tmp_path)!r}\n"
+        "assert main(['solve', cfg, '--out', out]) == 0\n"
+        "assert main(['verify', cfg, out + '/profile.csv', '--out', out]) "
+        "== 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=package_env(),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").exists()

@@ -1,5 +1,7 @@
 """Sampling, residual reports and the finite-difference oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,29 @@ class TestSampling:
             SampleSpec(box=[(0.0, 1.0)], count=0)
         with pytest.raises(ValueError):
             SampleSpec(box=[(0.0, 1.0)], mode="sobol")
+
+    @pytest.mark.parametrize("fields", [
+        dict(seed=-1),
+        dict(seed=1.0),
+        dict(seed=True),
+        dict(count=2.5),
+        dict(count=np.float64(10.0)),
+        dict(count=False),
+        dict(box=[(-2.0, math.inf), (-1.0, 1.0)]),
+        dict(box=[(-math.inf, 2.0), (-1.0, 1.0)]),
+        dict(box=[(-2.0, 2.0), (math.nan, 1.0)]),
+    ])
+    def test_spec_rejects_bad_fields(self, fields):
+        # Caught at construction: draw_points would otherwise fail inside
+        # numpy's generator.
+        with pytest.raises(ValueError):
+            SampleSpec(**{"box": [(-2.0, 2.0)] * 2, **fields})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SampleSpec(box=[(-2.0, 2.0)] * 2, count=np.int64(5),
+                          seed=np.uint32(7))
+        entry = gallery("cigar")
+        assert len(draw_points(entry.problem, entry.profile, spec)) == 5
 
 
 def pointwise_draw(p, prof, spec):
