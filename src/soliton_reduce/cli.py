@@ -35,6 +35,7 @@ from .reduction import (
     SolitonProblem,
     SpecialParams,
     gallery,
+    gallery_parameters,
 )
 from .rk import IntegrationConfig
 from .solve import NodeProfile, solve_reduced, solve_special
@@ -60,9 +61,14 @@ def _require(cond: bool, msg: str, errors: list[str]) -> bool:
 
 
 def _finite(v) -> bool:
-    """A finite JSON number: booleans, NaN and +-Infinity do not count."""
+    """A JSON number that is a finite double: booleans, NaN, +-Infinity and
+    integers beyond the double range do not count."""
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
+
+
+def _positive(v) -> bool:
+    return _finite(v) and v > 0
 
 
 def _int_at_least(v, lo: int) -> bool:
@@ -80,8 +86,52 @@ def load_config(path: str | Path) -> dict:
     return resolve_config(raw)
 
 
+def _section(cfg: dict, key: str, errors: list[str]) -> dict:
+    """A copy of the JSON object cfg[key]; absent or null gives {}."""
+    val = cfg.get(key)
+    if val is None or not _require(isinstance(val, dict),
+                                   f"{key}: JSON object required", errors):
+        return {}
+    return dict(val)
+
+
+def _gallery_param_errors(name: str, params: dict,
+                          n: int | None = None) -> list[str]:
+    """What is wrong with the parameters of gallery entry `name`.
+
+    Each key must be one of the entry's parameters, and each value of its
+    default's kind: a finite number, the dimension (an integer >= 2), or
+    null or a list of finite numbers. Given the config's dimension n, the
+    dimension and the lists must match it.
+    """
+    errors: list[str] = []
+    defaults = gallery_parameters(name)
+    of_n = "" if n is None else f" of n = {n}"
+    for key, val in params.items():
+        field = f"gallery_params.{key}"
+        if key not in defaults:
+            errors.append(f"{field}: not a parameter of {name}; choose "
+                          f"from {sorted(defaults)}")
+        elif defaults[key] is None:
+            ok = val is None or (isinstance(val, list)
+                                 and len(val) == (n or len(val))
+                                 and all(_finite(v) for v in val))
+            _require(ok, f"{field}: null or a list{of_n} finite numbers "
+                     "required", errors)
+        elif isinstance(defaults[key], int):
+            _require(_int_at_least(val, 2) and val == (n or val),
+                     f"{field}: the dimension{of_n}, an integer >= 2, "
+                     "required", errors)
+        else:
+            _require(_finite(val), f"{field}: finite number required",
+                     errors)
+    return errors
+
+
 def resolve_config(raw: dict) -> dict:
     """Validate and fill defaults; returns the fully-resolved config."""
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("config: JSON object required")
     errors: list[str] = []
     cfg = dict(raw)
 
@@ -91,27 +141,30 @@ def resolve_config(raw: dict) -> dict:
                   or mode.startswith("gallery:")),
              "mode: must be 'theorem2', 'theorem3' or 'gallery:<name>'",
              errors)
+    name = None
     if isinstance(mode, str) and mode.startswith("gallery:"):
-        _require(mode.split(":", 1)[1] in GALLERY_NAMES,
+        name = mode.split(":", 1)[1]
+        _require(name in GALLERY_NAMES,
                  f"mode: unknown gallery entry; choose from {GALLERY_NAMES}",
                  errors)
 
     n = cfg.get("n")
-    if _require(isinstance(n, int) and n >= 2, "n: integer >= 2 required",
-                errors):
-        for key in ("epsilon", "alpha", "beta"):
-            val = cfg.get(key)
-            if val is None and key in ("alpha", "beta"):
+    n_ok = _require(_int_at_least(n, 2), "n: integer >= 2 required", errors)
+    eps = cfg.get("epsilon")
+    if n_ok and _require(isinstance(eps, list) and len(eps) == n,
+                         f"epsilon: list of length n = {n} required", errors):
+        _require(all(_finite(e) and e in (1, -1) for e in eps),
+                 "epsilon: entries must be +1 or -1", errors)
+        _require(any(e == 1 for e in eps),
+                 "epsilon: at least one +1 required", errors)
+        for key in ("alpha", "beta"):
+            if cfg.get(key) is None:
                 cfg[key] = [0.0] * n
-                continue
-            _require(isinstance(val, list) and len(val) == n,
-                     f"{key}: list of length n = {n} required", errors)
-        eps = cfg.get("epsilon")
-        if isinstance(eps, list):
-            _require(all(e in (1, -1) for e in eps),
-                     "epsilon: entries must be +1 or -1", errors)
-            _require(any(e == 1 for e in eps),
-                     "epsilon: at least one +1 required", errors)
+            val = cfg[key]
+            _require(isinstance(val, list) and len(val) == n
+                     and all(_finite(v) for v in val),
+                     f"{key}: list of n = {n} finite numbers required",
+                     errors)
 
     for key, default in (("tau", 0.0), ("lambda", 0.0)):
         cfg.setdefault(key, default)
@@ -125,16 +178,15 @@ def resolve_config(raw: dict) -> dict:
         _require(ok, "xi_span: [start, end], finite, with start != end "
                  "required", errors)
 
-    tols = dict(cfg.get("tolerances") or {})
+    tols = _section(cfg, "tolerances", errors)
     tols.setdefault("rel_tol", 1e-10)
     tols.setdefault("abs_tol", 1e-12)
     tols.setdefault("max_step", None)
     for key in ("rel_tol", "abs_tol"):
-        _require(_finite(tols[key]) and tols[key] > 0,
+        _require(_positive(tols[key]),
                  f"tolerances.{key}: positive finite number required",
                  errors)
-    _require(tols["max_step"] is None
-             or (_finite(tols["max_step"]) and tols["max_step"] > 0),
+    _require(tols["max_step"] is None or _positive(tols["max_step"]),
              "tolerances.max_step: null or positive finite number required",
              errors)
     cfg["tolerances"] = tols
@@ -154,7 +206,7 @@ def resolve_config(raw: dict) -> dict:
             _require(initial["h0"] > 0, "initial.h0: must be positive",
                      errors)
 
-    sample = dict(cfg.get("sample") or {})
+    sample = _section(cfg, "sample", errors)
     sample.setdefault("mode", "random")
     sample.setdefault("seed", 0)
     sample.setdefault("count", 500)
@@ -167,7 +219,7 @@ def resolve_config(raw: dict) -> dict:
     for key in ("exclusion_phi", "exclusion_sing"):
         _require(_finite(sample[key]) and sample[key] >= 0,
                  f"sample.{key}: finite number >= 0 required", errors)
-    if "box" in sample and isinstance(n, int):
+    if "box" in sample and n_ok:
         box = sample["box"]
         _require(isinstance(box, list) and len(box) == n
                  and all(isinstance(b, list) and len(b) == 2
@@ -177,24 +229,62 @@ def resolve_config(raw: dict) -> dict:
                  " required", errors)
     cfg["sample"] = sample
 
-    output = dict(cfg.get("output") or {})
+    output = _section(cfg, "output", errors)
     output.setdefault("points", DEFAULT_OUTPUT_POINTS)
     _require(_int_at_least(output["points"], 2),
              "output.points: integer >= 2 required", errors)
     output.setdefault("profile_csv", "profile.csv")
     output.setdefault("summary_json", "summary.json")
     output.setdefault("report_json", "report.json")
+    for key in ("profile_csv", "summary_json", "report_json"):
+        _require(isinstance(output[key], str) and output[key] != "",
+                 f"output.{key}: file name required", errors)
     cfg["output"] = output
 
     cfg.setdefault("threshold", DEFAULT_CLI_THRESHOLD)
-    cfg.setdefault("gallery_params", {})
+    _require(_positive(cfg["threshold"]),
+             "threshold: positive finite number required", errors)
+
+    params = _section(cfg, "gallery_params", errors)
+    if name in GALLERY_NAMES and n_ok:
+        errors += _gallery_param_errors(name, params, n)
+    cfg["gallery_params"] = params
 
     if errors:
         raise ConfigInvalid(errors)
     return cfg
 
 
+def _gallery_entry(name: str, params: dict) -> GalleryEntry:
+    """Gallery entry `name` with checked params; a value its builder
+    rejects is a configuration error."""
+    try:
+        return gallery(name, **params)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigInvalid(f"gallery_params: {exc}") from None
+
+
+def _config_entry(cfg: dict) -> GalleryEntry | None:
+    """The gallery entry of a resolved `gallery:` config, None for the
+    other modes. The entry defines its problem; the config's n and
+    epsilon must be its dimension and signature."""
+    mode = cfg["mode"]
+    if not mode.startswith("gallery:"):
+        return None
+    entry = _gallery_entry(mode.split(":", 1)[1], cfg["gallery_params"])
+    eps = [int(e) for e in entry.problem.sig.eps]
+    if entry.problem.n != cfg["n"] or eps != cfg["epsilon"]:
+        raise ConfigInvalid(f"n, epsilon: {mode} has n = "
+                            f"{entry.problem.n} and epsilon = {eps}")
+    return entry
+
+
 def build_problem(cfg: dict) -> SolitonProblem:
+    """The problem a resolved config defines: a gallery entry's own, or
+    the one its epsilon, tau, alpha, beta and lambda describe."""
+    entry = _config_entry(cfg)
+    if entry is not None:
+        return entry.problem
     sig = Signature(np.asarray(cfg["epsilon"], dtype=float))
     ansatz = QuadricAnsatz(float(cfg["tau"]),
                            np.asarray(cfg["alpha"], dtype=float),
@@ -220,11 +310,10 @@ def _integration_config(cfg: dict) -> IntegrationConfig:
 def _build_profile(cfg: dict) -> tuple[SolitonProblem, Profile, dict]:
     mode = cfg["mode"]
     info: dict = {"mode": mode}
-    if mode.startswith("gallery:"):
-        name = mode.split(":", 1)[1]
-        entry: GalleryEntry = gallery(name, **cfg["gallery_params"])
-        info["gallery"] = {"name": name, "params": entry.params}
-        if name == "space_form":
+    entry = _config_entry(cfg)
+    if entry is not None:
+        info["gallery"] = {"name": entry.name, "params": entry.params}
+        if entry.name == "space_form":
             info["forced_lambda"] = entry.params["forced_lambda"]
         return entry.problem, entry.profile, info
     problem = build_problem(cfg)
@@ -319,9 +408,13 @@ def _json_safe(obj):
 
 
 def cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+    return _solve(load_config(args.config), args.out)
+
+
+def _solve(cfg: dict, out_dir: str | None) -> int:
+    """Build the profile of a resolved config; write its CSV and summary."""
     problem, prof, info = _build_profile(cfg)
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(out_dir) if out_dir else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / cfg["output"]["profile_csv"]
     summary_path = out / cfg["output"]["summary_json"]
@@ -401,6 +494,8 @@ def _sample_spec(cfg: dict, args) -> SampleSpec:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
+    if args.threshold is not None and not _positive(args.threshold):
+        raise ConfigInvalid("--threshold: positive finite number required")
     problem = build_problem(cfg)
     prof = read_profile_csv(args.profile, cfg["n"])
     spec = _sample_spec(cfg, args)
@@ -439,7 +534,11 @@ def cmd_gallery(args) -> int:
         for name in GALLERY_NAMES:
             print(name)
         return 0
-    entry = gallery(args.name, **_parse_params(args.param or []))
+    params = _parse_params(args.param or [])
+    errors = _gallery_param_errors(args.name, params)
+    if errors:
+        raise ConfigInvalid(errors)
+    entry = _gallery_entry(args.name, params)
     span = args.xi_span or [0.0, 10.0]
     cfg = resolve_config({
         "mode": f"gallery:{entry.name}",
@@ -450,24 +549,11 @@ def cmd_gallery(args) -> int:
         "beta": list(entry.problem.ansatz.beta),
         "lambda": entry.problem.lam,
         "xi_span": list(span),
-        "gallery_params": entry.params,
+        "gallery_params": params,
         "output": {"profile_csv": f"{entry.name}_profile.csv",
                    "summary_json": f"{entry.name}_summary.json"},
     })
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / cfg["output"]["profile_csv"]
-    summary_path = out / cfg["output"]["summary_json"]
-    info = {"mode": cfg["mode"],
-            "gallery": {"name": entry.name, "params": entry.params}}
-    if entry.name == "space_form":
-        info["forced_lambda"] = entry.params["forced_lambda"]
-    write_profile_csv(csv_path, cfg, entry.profile)
-    summary = _summary(cfg, entry.problem, entry.profile, info)
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"profile: {csv_path}")
-    print(f"summary: {summary_path}")
-    return 0
+    return _solve(cfg, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +608,9 @@ def main(argv=None) -> int:
         return 2
     except SolitonReduceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

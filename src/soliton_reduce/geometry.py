@@ -108,24 +108,20 @@ def _check_phi(phi: ScalarJet2) -> None:
         )
 
 
-def conformal_christoffel(sig: Signature, phi: ScalarJet2,
-                          i: int, j: int, k: int) -> float:
-    """Christoffel symbol Gamma^k_ij of gbar = g/phi^2 (0-based indices).
+def conformal_christoffel(sig: Signature, phi: ScalarJet2) -> np.ndarray:
+    """Christoffel symbols of gbar = g/phi^2, Gamma[..., k, i, j] =
+    Gamma^k_ij (..., n, n, n):
 
-    Four cases: zero for distinct indices, -phi_,j/phi when k == i != j,
-    eps_i*eps_k*phi_,k/phi when i == j != k, -phi_,i/phi on the diagonal.
+        (eps_i eps_k delta_ij phi_,k - delta_ki phi_,j - delta_kj phi_,i)
+        / phi.
     """
     _check_phi(phi)
-    g = phi.gradient
-    if i == j:
-        if k == i:
-            return -g[..., i] / phi.value
-        return sig.eps[i] * sig.eps[k] * g[..., k] / phi.value
-    if k == i:
-        return -g[..., j] / phi.value
-    if k == j:
-        return -g[..., i] / phi.value
-    return 0.0
+    eps, gp = sig.eps, phi.gradient
+    eye = np.eye(sig.n)
+    gamma = ((eps * gp)[..., :, None, None] * np.diag(eps)
+             - eye[:, :, None] * gp[..., None, None, :]
+             - eye[:, None, :] * gp[..., None, :, None])
+    return gamma / _col(phi.value, 3)
 
 
 def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:

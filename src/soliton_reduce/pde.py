@@ -22,16 +22,14 @@ from . import geometry
 from .geometry import ScalarJet2, Signature, _col, _diag
 
 
-def residual_offdiag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
-                     i: int, j: int) -> float | np.ndarray:
-    """(n-2) phi_,ij + phi f_,ij + phi_,i f_,j + phi_,j f_,i  (i != j)."""
-    if i == j:
-        raise ValueError("off-diagonal residual needs i != j")
-    n = sig.n
-    gp, gf = phi.gradient, f.gradient
-    return ((n - 2) * phi.hessian[..., i, j]
-            + phi.value * f.hessian[..., i, j]
-            + gp[..., i] * gf[..., j] + gp[..., j] * gf[..., i])
+def residual_offdiag(sig: Signature, phi: ScalarJet2,
+                     f: ScalarJet2) -> np.ndarray:
+    """(n-2) phi_,ij + phi f_,ij + phi_,i f_,j + phi_,j f_,i for every
+    (i, j), (..., n, n). Only the entries i != j are equations of the
+    system; the diagonal ones are in :func:`residual_diag`."""
+    cross = phi.gradient[..., :, None] * f.gradient[..., None, :]
+    return ((sig.n - 2) * phi.hessian + _col(phi.value, 2) * f.hessian
+            + cross + np.swapaxes(cross, -1, -2))
 
 
 def residual_diag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,

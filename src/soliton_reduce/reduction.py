@@ -15,6 +15,7 @@ see :func:`special_rhs`. Closed-form solutions live in :func:`gallery`.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -395,6 +396,12 @@ _GALLERY = {
     "space_form": _space_form,
     "n2_polynomial": _n2_polynomial,
 }
+
+
+def gallery_parameters(name: str) -> dict:
+    """The parameters gallery entry `name` takes, with their defaults."""
+    return {key: par.default for key, par in
+            inspect.signature(_GALLERY[name]).parameters.items()}
 
 
 def gallery(name: str, **params) -> GalleryEntry:

@@ -204,12 +204,11 @@ def residual_maxima(p: SolitonProblem, prof: Profile,
     xi = xi_jet(p.ansatz, xs)
     data = prof.evaluate(xi.value)
     phi, f = compose(xi, data)
-    sig, lam, n = p.sig, p.lam, p.n
+    sig, lam = p.sig, p.lam
     # Both (i, j) and (j, i): they add the cross terms in opposite order,
     # so they can differ in the last bit.
-    off = np.max(np.abs([pde.residual_offdiag(sig, phi, f, i, j)
-                         for i in range(n) for j in range(n) if i != j]),
-                 axis=0)
+    off = np.max(np.abs(pde.residual_offdiag(sig, phi, f)
+                        [..., ~np.eye(p.n, dtype=bool)]), axis=-1)
     diag = np.max(np.abs(pde.residual_diag(sig, phi, f, lam)), axis=-1)
     trace = np.abs(pde.residual_trace(sig, phi, f, lam))
     tensor = np.max(np.abs(pde.residual_soliton_tensor(sig, phi, f, lam)),
@@ -285,33 +284,49 @@ def _profile_oracle_gap(p: SolitonProblem, prof: Profile,
 # Finite-difference curvature oracle
 # ---------------------------------------------------------------------------
 #
-# phi fields map an array of points, shape (..., n), to phi there, shape
-# (...). They may return NaN where phi is not evaluable, or raise
-# OutOfDomain / ValueError for the whole call.
+# Fields (phi, and f for the Hessian) map an array of points, shape
+# (..., n), to the field there, shape (...). They may return NaN where the
+# field is not evaluable, or raise OutOfDomain / ValueError for the whole
+# call. A step is a float, or an array that broadcasts over the leading
+# axes of the points it is used with.
 
-def _stencil(xs: np.ndarray, step: float) -> np.ndarray:
+def _lead(step, k: int) -> np.ndarray:
+    """step with k trailing unit axes, to broadcast over the leading axes."""
+    return np.reshape(step, np.shape(step) + (1,) * k)
+
+
+def _stencil(xs: np.ndarray, step) -> np.ndarray:
     """x, then x + step e_l and x - step e_l for l = 0..n-1, around each
     point of xs (..., n): shape (..., 2n+1, n)."""
     n = xs.shape[-1]
-    offsets = np.zeros((2 * n + 1, n))
-    offsets[1::2] = step * np.eye(n)
-    offsets[2::2] = -step * np.eye(n)
-    return xs[..., None, :] + offsets
+    unit = np.zeros((2 * n + 1, n))
+    unit[1::2] = np.eye(n)
+    unit[2::2] = -np.eye(n)
+    return xs[..., None, :] + _lead(step, 2) * unit
 
 
-def _phi_at(phi_field, pts: np.ndarray) -> np.ndarray:
+def _central(values: np.ndarray, step, k: int) -> np.ndarray:
+    """Central differences along a stencil axis with k axes after it:
+    (..., 2n+1, *tail) -> (..., n, *tail), one per direction."""
+    tail = (slice(None),) * k
+    plus = values[(Ellipsis, slice(1, None, 2)) + tail]
+    minus = values[(Ellipsis, slice(2, None, 2)) + tail]
+    return (plus - minus) / (2.0 * _lead(step, k + 1))
+
+
+def _field_at(field, pts: np.ndarray) -> np.ndarray:
     try:
-        return np.asarray(phi_field(pts), dtype=float)
+        return np.asarray(field(pts), dtype=float)
     except (OutOfDomain, ValueError) as exc:
-        raise StencilOutOfDomain("phi not evaluable on the stencil") from exc
+        raise StencilOutOfDomain("field not evaluable on the stencil") from exc
 
 
-def _christoffel(sig, phi: np.ndarray, step: float) -> np.ndarray:
+def _christoffel(sig, phi: np.ndarray, step) -> np.ndarray:
     """Gamma[..., k, i, j] of gbar = g / phi^2 from phi on a stencil
     (..., 2n+1), through the metric samples and the general formula."""
     n = sig.n
     g = np.diag(sig.eps) / phi[..., None, None] ** 2
-    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * step)
+    dg = _central(g, step, 2)
     ginv = np.linalg.inv(g[..., 0, :, :])
     # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
@@ -321,13 +336,12 @@ def _christoffel(sig, phi: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * acc
 
 
-def _ricci(sig, phi: np.ndarray, step: float) -> np.ndarray:
+def _ricci(sig, phi: np.ndarray, step) -> np.ndarray:
     """Ric[..., i, j] of gbar from phi on the nested stencil
     (..., 2n+1, 2n+1): central differences of the Christoffel symbols."""
     n = sig.n
-    gamma = _christoffel(sig, phi, step)
-    dgamma = (gamma[..., 1::2, :, :, :] - gamma[..., 2::2, :, :, :]) \
-        / (2.0 * step)
+    gamma = _christoffel(sig, phi, _lead(step, 1))
+    dgamma = _central(gamma, step, 3)
     g0 = gamma[..., 0, :, :, :]
     ric = 0.0
     for k in range(n):
@@ -338,28 +352,15 @@ def _ricci(sig, phi: np.ndarray, step: float) -> np.ndarray:
     return 0.5 * (ric + np.swapaxes(ric, -1, -2))
 
 
-def fd_christoffel(sig, phi_field, x: np.ndarray, step: float) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] of gbar at points x (..., n),
-    from metric samples only."""
-    stencil = _stencil(np.asarray(x, dtype=float), step)
-    return _christoffel(sig, _phi_at(phi_field, stencil), step)
-
-
-def _rate(r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> float:
-    d1 = float(np.linalg.norm(r1 - r2))
-    d2 = float(np.linalg.norm(r2 - r3))
-    return math.inf if d2 == 0.0 else math.log2(d1 / d2) \
-        if d1 > 0.0 else math.inf
-
-
 def fd_curvature_oracle(sig, phi_field, x: np.ndarray,
                         step: float = ORACLE_STEP):
     """Ricci tensor of gbar by nested central differences, plus its
     empirical convergence rate under step-halving.
 
     `x` is one point (n,) or a batch (m, n); results are (n, n) and a
-    float, or (m, n, n) and (m,). The stencils of every point at all four
-    steps go to `phi_field` in one call. A point whose stencil holds a
+    float, or (m, n, n) and (m,). The nested stencils of every point at
+    all four steps go to `phi_field` in one call and to the Christoffel
+    and Ricci assembly in one pass. A point whose stencil holds a
     non-finite phi gets a NaN tensor and rate.
 
     The assembly uses only pointwise metric samples and the general-metric
@@ -370,16 +371,18 @@ def fd_curvature_oracle(sig, phi_field, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
     h0 = max(step, RATE_BASE_STEP)
-    steps = (step, h0, h0 / 2.0, h0 / 4.0)
-    phi = _phi_at(phi_field, np.stack([_stencil(_stencil(xs, h), h)
-                                       for h in steps]))
+    h = np.array([step, h0, h0 / 2.0, h0 / 4.0])[:, None]
+    phi = _field_at(phi_field, _stencil(_stencil(xs, h), _lead(h, 1)))
     ok = np.all(np.isfinite(phi), axis=(0, 2, 3))
-    ric, r1, r2, r3 = (_ricci(sig, phi[s, ok], h)
-                       for s, h in enumerate(steps))
+    ric = _ricci(sig, phi[:, ok], h)
     ricci = np.full((len(xs), sig.n, sig.n), np.nan)
-    ricci[ok] = ric
+    ricci[ok] = ric[0]
+    d1, d2 = np.linalg.norm(ric[1:3] - ric[2:], axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = np.where((d2 == 0.0) | ~(d1 > 0.0), np.inf,
+                         np.log2(d1 / d2))
     rate = np.full(len(xs), np.nan)
-    rate[ok] = [_rate(*r) for r in zip(r1, r2, r3)]
+    rate[ok] = rates
     if x.ndim == 1:
         return ricci[0], float(rate[0])
     return ricci, rate
@@ -389,25 +392,25 @@ def fd_hessian_oracle(sig, phi_field, f_field, x: np.ndarray,
                       step: float = ORACLE_STEP) -> np.ndarray:
     """Covariant Hessian of f in gbar by central differences.
 
-    `f_field` maps a point (n,) to f there; `phi_field` is a phi field as
-    above.
+    `x` is one point (n,) or a batch (m, n); the result is (n, n) or
+    (m, n, n). f is evaluated on the nested stencil, phi on its centre row
+    (the simple stencil around x), one field call each. The gradient and
+    the Christoffel symbols come from the centre row; the Hessian of f
+    from the nested central differences, whose diagonal entries are
+    second differences with step 2 * step. A point whose stencil holds a
+    non-finite phi or f gets a NaN Hessian.
     """
-    n = sig.n
     x = np.asarray(x, dtype=float)
-    grad = np.empty(n)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        grad[i] = (f_field(x + ei) - f_field(x - ei)) / (2.0 * step)
-        hess[i, i] = (f_field(x + ei) - 2.0 * f_field(x)
-                      + f_field(x - ei)) / step ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            hess[i, j] = hess[j, i] = (
-                f_field(x + ei + ej) - f_field(x + ei - ej)
-                - f_field(x - ei + ej) + f_field(x - ei - ej)
-            ) / (4.0 * step ** 2)
-    gamma = fd_christoffel(sig, phi_field, x, step)
-    return hess - np.einsum("kij,k->ij", gamma, grad)
+    pts = _stencil(_stencil(np.atleast_2d(x), step), step)
+    f = _field_at(f_field, pts)
+    phi = _field_at(phi_field, pts[:, 0])
+    ok = np.all(np.isfinite(phi), axis=-1) \
+        & np.all(np.isfinite(f), axis=(-2, -1))
+    f = f[ok]
+    gamma = _christoffel(sig, phi[ok], step)
+    grad = _central(f[:, 0], step, 0)
+    hess = _central(_central(f, step, 0), step, 1)
+    out = np.full((len(ok), sig.n, sig.n), np.nan)
+    out[ok] = 0.5 * (hess + np.swapaxes(hess, -1, -2)) \
+        - np.sum(gamma * grad[..., :, None, None], axis=-3)
+    return out[0] if x.ndim == 1 else out

@@ -175,9 +175,10 @@ def test_criterion_05_reduction_equivalence():
             f = ScalarJet2(fv, dfv * u, ddfv * uu + dfv * jet.hessian)
             s1 = (n - 2) * ddph + ph * ddfv + 2.0 * dph * dfv
             s0 = (n - 2) * dph + ph * dfv
+            offs = residual_offdiag(sig, phi, f)
             for i in range(n):
                 for j in range(i + 1, n):
-                    lhs = residual_offdiag(sig, phi, f, i, j)
+                    lhs = offs[i, j]
                     rhs = s1 * u[i] * u[j] + s0 * jet.hessian[i, j]
                     worst = max(worst, abs(lhs - rhs)
                                 / max(1.0, abs(lhs), abs(rhs)))

@@ -35,6 +35,16 @@ def write_config(path, **overrides):
     return path
 
 
+def shift_df_column(path, delta):
+    """Add delta to the df column of a profile CSV in place."""
+    lines = path.read_text().splitlines()
+    for i in range(2, len(lines)):
+        parts = lines[i].split(",")
+        parts[4] = repr(float(parts[4]) + delta)
+        lines[i] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestResolveConfig:
     def test_defaults_filled(self):
         cfg = resolve_config({"mode": "gallery:cigar", "n": 2,
@@ -79,6 +89,11 @@ class TestResolveConfig:
         # NaN and Infinity once emptied every batch; -1 excluded nothing.
         ("sample.exclusion_phi", math.nan), ("sample.exclusion_phi", -1.0),
         ("sample.exclusion_sing", math.inf),
+        # Integers beyond the double range once raised an OverflowError
+        # inside the check itself.
+        pytest.param("tau", 10 ** 400, id="tau-10**400"),
+        pytest.param("initial.phi0", -10 ** 400, id="initial.phi0--10**400"),
+        pytest.param("sample.box.0.1", 10 ** 400, id="sample.box.0.1-10**400"),
         # solve once wrote a CSV of 0, 1 or int(2.5) = 2 rows with exit 0.
         ("output.points", 0), ("output.points", 1), ("output.points", 2.5),
     ])
@@ -232,6 +247,78 @@ class TestGalleryCommand:
         assert main(["gallery", "emit", "cigar", "--out", str(tmp_path),
                      "--param", "lam=1.0"]) == 2
 
+    @pytest.mark.parametrize("param, field", [
+        ("k=x", "gallery_params.k"), ("bogus=1", "gallery_params.bogus"),
+        ("n=2.5", "gallery_params.n"), ("eps=[1,null]", "gallery_params.eps"),
+    ])
+    def test_emit_ill_typed_params_exit_2(self, tmp_path, capsys, param,
+                                          field):
+        # Each once raised a TypeError inside the gallery builder (a
+        # traceback, exit 1).
+        assert main(["gallery", "emit", "gaussian", "--out", str(tmp_path),
+                     "--param", param]) == 2
+        assert f"invalid configuration: {field}:" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_emitted_summary_solves_again(self, tmp_path):
+        # The summary's config records the --param values as given; its
+        # gallery_params once held the derived forced_lambda (a TypeError
+        # on solve) and dropped eps.
+        assert main(["gallery", "emit", "space_form", "--out",
+                     str(tmp_path / "a"), "--param", "eps=[1,-1,1]",
+                     "--param", "b1=0.5", "--xi-span", "0", "4"]) == 0
+        summary = json.loads(
+            (tmp_path / "a" / "space_form_summary.json").read_text())
+        assert summary["config"]["gallery_params"] == {"eps": [1, -1, 1],
+                                                       "b1": 0.5}
+        assert summary["forced_lambda"] == 2.0 * 0.5 * (4.0 * 1.0 - 0.5 * 0)
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(summary["config"]))
+        assert main(["solve", str(again), "--out", str(tmp_path / "b")]) == 0
+        name = "space_form_profile.csv"
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+class TestGalleryConfig:
+    """A gallery entry defines its problem; solve and verify both use it."""
+
+    def test_space_form_verifies_with_forced_lambda(self, tmp_path):
+        # lambda is forced to 8 by the entry; verify once rebuilt the
+        # problem from the config's lambda (0) and failed with a tensor
+        # residual of 3.4 (exit 1).
+        cfg = write_config(
+            tmp_path / "cfg.json", mode="gallery:space_form", n=3,
+            epsilon=[1, 1, 1], tau=1, xi_span=[0.5, 4.0],
+            sample={"box": [[-1.0, 1.0]] * 3, "count": 100})
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["lambda"] == summary["forced_lambda"] == 8.0
+        assert main(["verify", str(cfg), str(tmp_path / "profile.csv"),
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["max_tensor"] < 1e-12
+
+    def test_cigar_without_tau_verifies(self, tmp_path):
+        # verify once built tau = 0, alpha = 0 from the config and exited 2
+        # with DegenerateAnsatz.
+        raw = json.loads(write_config(tmp_path / "c.json").read_text())
+        for key in ("tau", "lambda", "initial"):
+            del raw[key]
+        raw.update(mode="gallery:cigar", xi_span=[0.0, 8.0])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["verify", str(cfg), str(tmp_path / "profile.csv"),
+                     "--out", str(tmp_path)]) == 0
+
+    def test_config_dimension_must_match_entry(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", mode="gallery:space_form")
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "n, epsilon: gallery:space_form has n = 3" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "profile.csv").exists()
+
 
 class TestErrorExitCodes:
     def test_missing_config(self, tmp_path):
@@ -291,6 +378,67 @@ class TestErrorExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "sample: grid mode needs" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("override, field", [
+        # Each once raised inside solve or verify (a traceback, exit 1).
+        ({"mode": "gallery:cigar", "gallery_params": {"bogus": 1}},
+         "gallery_params.bogus"),
+        ({"mode": "gallery:cigar", "gallery_params": {"tau": "x"}},
+         "gallery_params.tau"),
+        ({"threshold": "abc"}, "threshold"),
+        ({"alpha": ["x", 0]}, "alpha"),
+        # Once passed a CSV whose df column is shifted by 0.5 (exit 0).
+        ({"threshold": math.inf}, "threshold"),
+        # Once turned into NaN and ended as StepSizeUnderflow.
+        ({"alpha": [None, 0]}, "alpha"),
+        # Once raised a TypeError on writing (a traceback, exit 1).
+        ({"output": {"profile_csv": 5, "report_json": ["r"]}},
+         "output.profile_csv"),
+        # Values the gallery builders reject: a ValueError and an
+        # OverflowError (k ** 2), each once a traceback with exit 1.
+        ({"mode": "gallery:space_form", "gallery_params": {"eps": [1, 2]}},
+         "gallery_params"),
+        ({"mode": "gallery:gaussian", "gallery_params": {"n": 2, "k": 1e200}},
+         "gallery_params"),
+    ], ids=["unknown_gallery_param", "ill_typed_gallery_param",
+            "threshold_string", "alpha_string", "threshold_infinity",
+            "alpha_null", "output_name_not_string", "gallery_value_error",
+            "gallery_overflow"])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys,
+                                            override, field):
+        good = write_config(tmp_path / "good.json")
+        assert main(["solve", str(good), "--out", str(tmp_path)]) == 0
+        shift_df_column(tmp_path / "profile.csv", 0.5)
+        cfg = write_config(tmp_path / "cfg.json", **override)
+        for argv in (["solve", str(cfg), "--out", str(tmp_path / "s")],
+                     ["verify", str(cfg), str(tmp_path / "profile.csv"),
+                      "--out", str(tmp_path / "v")]):
+            assert main(argv) == 2
+            assert f"invalid configuration: {field}:" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "s").exists() and not (tmp_path / "v").exists()
+
+    def test_threshold_flag_must_be_positive_finite(self, tmp_path, capsys):
+        # --threshold inf once passed a CSV whose df column is shifted by
+        # 0.5 with exit 0.
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        shift_df_column(tmp_path / "profile.csv", 0.5)
+        for value in ("inf", "nan", "0", "-1e-5"):
+            assert main(["verify", str(cfg), str(tmp_path / "profile.csv"),
+                         f"--threshold={value}", "--out",
+                         str(tmp_path / "v")]) == 2
+            assert "invalid configuration: --threshold:" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        # A file name in a missing directory once raised FileNotFoundError
+        # (a traceback, exit 1).
+        cfg = write_config(tmp_path / "cfg.json",
+                           output={"profile_csv": "missing/profile.csv"})
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_lightlike_direction_rejected(self, tmp_path, capsys):
         # tau = 0 with lightlike alpha (Lambda = 0) must exit 2.

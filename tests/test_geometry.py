@@ -67,56 +67,68 @@ class TestScalarJet2:
 # Christoffel symbols
 # ---------------------------------------------------------------------------
 
+def christoffel_copies(sig, phi):
+    """Gamma[k, i, j] of one jet, computed at the point and on a batch of
+    three stacked copies: the four (n, n, n) tensors, which must agree."""
+    n = sig.n
+    stack = ScalarJet2(np.full(3, phi.value), np.tile(phi.gradient, (3, 1)),
+                       np.tile(phi.hessian, (3, 1, 1)))
+    one = conformal_christoffel(sig, phi)
+    batch = conformal_christoffel(sig, stack)
+    assert one.shape == (n, n, n) and batch.shape == (3, n, n, n)
+    return [one, *batch]
+
+
 class TestChristoffel:
-    # [TRIVIAL] hand values, n = 2, eps = (1, 1), phi = 2, grad = (1, 3)
+    # [TRIVIAL] hand values, n = 2, eps = (1, 1), phi = 2, grad = (1, 3);
+    # Gamma[k, i, j] = Gamma^k_ij, at one point and on a batch.
     def _phi2(self):
         return ScalarJet2(2.0, [1.0, 3.0], np.zeros((2, 2)))
 
     def test_mixed_index(self):
         sig = Signature.riemannian(2)
-        phi = self._phi2()
-        assert conformal_christoffel(sig, phi, 0, 1, 0) == -3.0 / 2.0
-        assert conformal_christoffel(sig, phi, 1, 0, 1) == -1.0 / 2.0
+        for gamma in christoffel_copies(sig, self._phi2()):
+            assert gamma[0, 0, 1] == -3.0 / 2.0
+            assert gamma[1, 1, 0] == -1.0 / 2.0
 
     def test_diagonal_index(self):
         sig = Signature.riemannian(2)
-        phi = self._phi2()
-        assert conformal_christoffel(sig, phi, 0, 0, 0) == -1.0 / 2.0
-        assert conformal_christoffel(sig, phi, 1, 1, 1) == -3.0 / 2.0
+        for gamma in christoffel_copies(sig, self._phi2()):
+            assert gamma[0, 0, 0] == -1.0 / 2.0
+            assert gamma[1, 1, 1] == -3.0 / 2.0
 
     def test_equal_lower_distinct_upper(self):
         sig = Signature.riemannian(2)
-        phi = self._phi2()
-        assert conformal_christoffel(sig, phi, 0, 0, 1) == 3.0 / 2.0
-        assert conformal_christoffel(sig, phi, 1, 1, 0) == 1.0 / 2.0
+        for gamma in christoffel_copies(sig, self._phi2()):
+            assert gamma[1, 0, 0] == 3.0 / 2.0
+            assert gamma[0, 1, 1] == 1.0 / 2.0
 
     def test_signature_sign_flip(self):
         # eps_1 * eps_2 = -1 flips the i == j != k case only.
         sig = Signature([1.0, -1.0])
-        phi = self._phi2()
-        assert conformal_christoffel(sig, phi, 0, 0, 1) == -3.0 / 2.0
-        assert conformal_christoffel(sig, phi, 0, 1, 0) == -3.0 / 2.0
+        for gamma in christoffel_copies(sig, self._phi2()):
+            assert gamma[1, 0, 0] == -3.0 / 2.0
+            assert gamma[0, 0, 1] == -3.0 / 2.0
 
     def test_distinct_indices_vanish(self):
         sig = Signature.riemannian(3)
         phi = ScalarJet2(1.5, [1.0, 2.0, 3.0], np.zeros((3, 3)))
-        assert conformal_christoffel(sig, phi, 0, 1, 2) == 0.0
+        for gamma in christoffel_copies(sig, phi):
+            for k, i, j in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):
+                assert gamma[k, i, j] == 0.0
 
     def test_symmetry_in_lower_indices(self):
         gen = rng(7)
-        sig = random_signature(gen, 4)
-        phi = random_jet(gen, 4)
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    assert conformal_christoffel(sig, phi, i, j, k) == \
-                        conformal_christoffel(sig, phi, j, i, k)
+        for n in (2, 3, 4):
+            sig = random_signature(gen, n)
+            for gamma in christoffel_copies(sig, random_jet(gen, n)):
+                assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
     def test_degenerate_phi_raises(self):
         sig = Signature.riemannian(2)
         phi = ScalarJet2(1e-13, [1.0, 0.0], np.zeros((2, 2)))
         with pytest.raises(DegenerateConformalFactor):
-            conformal_christoffel(sig, phi, 0, 0, 0)
+            conformal_christoffel(sig, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -44,18 +44,19 @@ class TestTwoRouteAgreement:
             lam = float(gen.uniform(-2, 2))
             tensor = residual_soliton_tensor(sig, phi, f, lam)
             diags = residual_diag(sig, phi, f, lam)
-            assert diags.shape == (n,)
+            offs = residual_offdiag(sig, phi, f)
+            assert diags.shape == (n,) and offs.shape == (n, n)
             for i in range(n):
                 diag = diags[i]
                 factor = tensor_to_scalar_factor(phi.value, diagonal=True)
                 assert diag == pytest.approx(factor * tensor[i, i],
                                              abs=1e-10)
                 for j in range(i + 1, n):
-                    off = residual_offdiag(sig, phi, f, i, j)
                     factor = tensor_to_scalar_factor(phi.value,
                                                      diagonal=False)
-                    assert off == pytest.approx(factor * tensor[i, j],
-                                                abs=1e-10)
+                    for off in (offs[i, j], offs[j, i]):
+                        assert off == pytest.approx(factor * tensor[i, j],
+                                                    abs=1e-10)
 
     def test_trace_is_eps_trace(self, gen):
         for _ in range(20):
@@ -69,11 +70,22 @@ class TestTwoRouteAgreement:
             assert residual_trace(sig, phi, f, lam) == pytest.approx(
                 tr, abs=1e-10)
 
-    def test_offdiag_needs_distinct_indices(self, gen):
-        sig = Signature.riemannian(2)
-        with pytest.raises(ValueError):
-            residual_offdiag(sig, random_jet(gen, 2), random_jet(gen, 2),
-                             1, 1)
+    def test_offdiag_hand_values(self):
+        # n = 3, phi = 2, grad phi = (1, 0, -1), f_,ij = 1 off the
+        # diagonal, grad f = (1, 2, 3), phi_,ij = 0:
+        # (n-2)*0 + 2*1 + phi_,i f_,j + phi_,j f_,i.
+        sig = Signature.riemannian(3)
+        phi = ScalarJet2(2.0, [1.0, 0.0, -1.0], np.zeros((3, 3)))
+        f = ScalarJet2(0.5, [1.0, 2.0, 3.0], np.ones((3, 3)))
+        expect = {(0, 1): 2.0 + 2.0, (0, 2): 2.0 + 3.0 - 1.0,
+                  (1, 2): 2.0 - 2.0}
+        stack = [ScalarJet2(np.full(4, j.value), np.tile(j.gradient, (4, 1)),
+                            np.tile(j.hessian, (4, 1, 1))) for j in (phi, f)]
+        batch = residual_offdiag(sig, *stack)
+        assert batch.shape == (4, 3, 3)
+        for r in (residual_offdiag(sig, phi, f), *batch):
+            for (i, j), v in expect.items():
+                assert r[i, j] == v and r[j, i] == v
 
 
 class TestLiftedForm:
@@ -99,9 +111,10 @@ class TestLiftedForm:
                                ddfv * np.outer(u, u) + dfv * jet.hessian)
                 s1 = (n - 2) * ddph + ph * ddfv + 2 * dph * dfv
                 s0 = (n - 2) * dph + ph * dfv
+                offs = residual_offdiag(sig, phi, f)
                 for i in range(n):
                     for j in range(i + 1, n):
-                        lhs = residual_offdiag(sig, phi, f, i, j)
+                        lhs = offs[i, j]
                         rhs = s1 * u[i] * u[j] + s0 * jet.hessian[i, j]
                         scale = max(1.0, abs(lhs), abs(rhs))
                         assert abs(lhs - rhs) / scale < 1e-11
@@ -109,7 +122,6 @@ class TestLiftedForm:
 
 def jet_formulas(sig, lam):
     """Every jet formula of geometry and pde, as calls on (phi, f)."""
-    n = sig.n
     calls = [
         lambda phi, f: conformal_ricci(sig, phi),
         lambda phi, f: conformal_hessian(sig, phi, f),
@@ -119,14 +131,8 @@ def jet_formulas(sig, lam):
         lambda phi, f: residual_soliton_tensor(sig, phi, f, lam),
     ]
     calls.append(lambda phi, f: residual_diag(sig, phi, f, lam))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                calls.append(lambda phi, f, i=i, j=j:
-                             residual_offdiag(sig, phi, f, i, j))
-            for k in range(n):
-                calls.append(lambda phi, f, i=i, j=j, k=k:
-                             conformal_christoffel(sig, phi, i, j, k))
+    calls.append(lambda phi, f: residual_offdiag(sig, phi, f))
+    calls.append(lambda phi, f: conformal_christoffel(sig, phi))
     return calls
 
 

@@ -282,12 +282,19 @@ class TestOracle:
             def phi_field(x, c=c, q=q):
                 return 2.0 + x @ c + np.einsum("...i,ij,...j->...", x, q, x)
 
-            x0 = gen.uniform(-0.5, 0.5, n)
-            ric_fd, rate = fd_curvature_oracle(sig, phi_field, x0)
-            jet = ScalarJet2(float(phi_field(x0)), c + 2.0 * q @ x0, 2.0 * q)
-            ric = conformal_ricci(sig, jet)
-            assert np.max(np.abs(ric_fd - ric)) < 1e-6
-            assert 1.8 <= rate <= 2.2
+            xs = gen.uniform(-0.5, 0.5, (4, n))
+            ric_batch, rate_batch = fd_curvature_oracle(sig, phi_field, xs)
+            assert ric_batch.shape == (4, n, n) and rate_batch.shape == (4,)
+            for x0, ric_b, rate_b in zip(xs, ric_batch, rate_batch):
+                ric_fd, rate = fd_curvature_oracle(sig, phi_field, x0)
+                # A batch gives exactly the tensor of its per-point calls.
+                assert np.array_equal(ric_fd, ric_b)
+                assert rate == rate_b
+                jet = ScalarJet2(float(phi_field(x0)), c + 2.0 * q @ x0,
+                                 2.0 * q)
+                ric = conformal_ricci(sig, jet)
+                assert np.max(np.abs(ric_fd - ric)) < 1e-6
+                assert 1.8 <= rate <= 2.2
 
     def test_hessian_oracle(self):
         sig = Signature.riemannian(2)
@@ -296,15 +303,31 @@ class TestOracle:
             return 1.0 + 0.25 * np.sum(x * x, axis=-1)
 
         def f_field(x):
-            return 0.3 * x[0] ** 2 - 0.2 * x[0] * x[1] + 0.5 * x[1]
+            x0, x1 = x[..., 0], x[..., 1]
+            return 0.3 * x0 ** 2 - 0.2 * x0 * x1 + 0.5 * x1
 
-        x0 = np.array([0.4, -0.3])
-        hess_fd = fd_hessian_oracle(sig, phi_field, f_field, x0)
-        phi_jet = ScalarJet2(float(phi_field(x0)), 0.5 * x0,
-                             0.5 * np.eye(2))
-        f_jet = ScalarJet2(f_field(x0),
-                           np.array([0.6 * x0[0] - 0.2 * x0[1],
-                                     -0.2 * x0[0] + 0.5]),
-                           np.array([[0.6, -0.2], [-0.2, 0.0]]))
-        hess = conformal_hessian(sig, phi_jet, f_jet)
-        assert np.max(np.abs(hess_fd - hess)) < 1e-6
+        xs = np.array([[0.4, -0.3], [-0.7, 0.2], [0.1, 0.9]])
+        batch = fd_hessian_oracle(sig, phi_field, f_field, xs)
+        assert batch.shape == (3, 2, 2)
+        for x0, hess_b in zip(xs, batch):
+            hess_fd = fd_hessian_oracle(sig, phi_field, f_field, x0)
+            assert np.array_equal(hess_fd, hess_b)
+            phi_jet = ScalarJet2(float(phi_field(x0)), 0.5 * x0,
+                                 0.5 * np.eye(2))
+            f_jet = ScalarJet2(f_field(x0),
+                               np.array([0.6 * x0[0] - 0.2 * x0[1],
+                                         -0.2 * x0[0] + 0.5]),
+                               np.array([[0.6, -0.2], [-0.2, 0.0]]))
+            hess = conformal_hessian(sig, phi_jet, f_jet)
+            assert np.max(np.abs(hess_fd - hess)) < 1e-6
+        # An infinite phi on the first point's stencil (x_0 > 0.45) or at
+        # its centre (x_0 > 0.35) once gave a finite, wrong Hessian or a
+        # LinAlgError; now that point alone is NaN.
+        for edge in (0.45, 0.35):
+            def phi_blowup(x, edge=edge):
+                return np.where(x[..., 0] > edge, np.inf, phi_field(x))
+
+            hess_inf = fd_hessian_oracle(sig, phi_blowup, f_field, xs, 0.1)
+            assert np.all(np.isnan(hess_inf[0]))
+            assert np.array_equal(hess_inf[1:], fd_hessian_oracle(
+                sig, phi_field, f_field, xs[1:], 0.1))
