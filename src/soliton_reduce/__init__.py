@@ -42,7 +42,7 @@ from .reduction import (
     reduced_rhs,
     special_rhs,
 )
-from .rk import Event, IntegrationConfig, convergence_order, integrate
+from .rk import Event, IntegrationConfig, integrate
 from .solve import (
     NodeProfile,
     ReducedProfile,
@@ -85,7 +85,6 @@ __all__ = [
     "conformal_christoffel",
     "conformal_hessian",
     "conformal_ricci",
-    "convergence_order",
     "fd_curvature_oracle",
     "fd_hessian_oracle",
     "fit_quadric_parameters",

@@ -37,7 +37,7 @@ from .reduction import (
     gallery,
     gallery_parameters,
 )
-from .rk import IntegrationConfig
+from .rk import MAX_ATTEMPTS, IntegrationConfig
 from .solve import NodeProfile, solve_reduced, solve_special
 from .verify import SampleSpec, verify_profile
 
@@ -172,11 +172,14 @@ def resolve_config(raw: dict) -> dict:
                  errors)
 
     span = cfg.get("xi_span")
-    if mode in ("theorem2", "theorem3") or span is not None:
-        ok = (isinstance(span, list) and len(span) == 2
-              and all(_finite(v) for v in span) and span[0] != span[1])
-        _require(ok, "xi_span: [start, end], finite, with start != end "
-                 "required", errors)
+    integrated = mode in ("theorem2", "theorem3")
+    span_ok = False
+    if integrated or span is not None:
+        span_ok = _require(
+            isinstance(span, list) and len(span) == 2
+            and all(_finite(v) for v in span) and span[0] != span[1],
+            "xi_span: [start, end], finite, with start != end required",
+            errors)
 
     tols = _section(cfg, "tolerances", errors)
     tols.setdefault("rel_tol", 1e-10)
@@ -186,9 +189,13 @@ def resolve_config(raw: dict) -> dict:
         _require(_positive(tols[key]),
                  f"tolerances.{key}: positive finite number required",
                  errors)
-    _require(tols["max_step"] is None or _positive(tols["max_step"]),
-             "tolerances.max_step: null or positive finite number required",
-             errors)
+    max_step = tols["max_step"]
+    if _require(max_step is None or _positive(max_step),
+                "tolerances.max_step: null or positive finite number "
+                "required", errors) and integrated and span_ok and max_step:
+        _require(abs(span[1] - span[0]) / max_step <= MAX_ATTEMPTS,
+                 f"tolerances.max_step: xi_span needs more than the step "
+                 f"budget of {MAX_ATTEMPTS} steps of max_step", errors)
     cfg["tolerances"] = tols
 
     initial = cfg.get("initial")

@@ -149,7 +149,7 @@ def conformal_hessian(sig: Signature, phi: ScalarJet2,
     eps = sig.eps
     gp, gf = phi.gradient, f.gradient
     v = _col(phi.value)
-    cross = gp[..., :, None] * gf[..., None, :]
+    cross = np.einsum("...i,...j->...ij", gp, gf)
     out = f.hessian + (cross + np.swapaxes(cross, -1, -2)) / v[..., None]
     mixed = np.sum(eps * gp * gf, axis=-1)
     # Diagonal: f_,ii + 2 phi_,i f_,i / phi - eps_i * sum_k eps_k phi_,k f_,k / phi

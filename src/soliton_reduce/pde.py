@@ -27,7 +27,7 @@ def residual_offdiag(sig: Signature, phi: ScalarJet2,
     """(n-2) phi_,ij + phi f_,ij + phi_,i f_,j + phi_,j f_,i for every
     (i, j), (..., n, n). Only the entries i != j are equations of the
     system; the diagonal ones are in :func:`residual_diag`."""
-    cross = phi.gradient[..., :, None] * f.gradient[..., None, :]
+    cross = np.einsum("...i,...j->...ij", phi.gradient, f.gradient)
     return ((sig.n - 2) * phi.hessian + _col(phi.value, 2) * f.hessian
             + cross + np.swapaxes(cross, -1, -2))
 

@@ -54,10 +54,6 @@ class ReducedState:
     def as_vector(self) -> np.ndarray:
         return np.array([self.phi, self.dphi, self.f, self.df])
 
-    @classmethod
-    def from_vector(cls, xi: float, y: np.ndarray) -> "ReducedState":
-        return cls(xi, *y.tolist())
-
 
 @dataclass(frozen=True)
 class SolitonProblem:
@@ -115,36 +111,38 @@ def check_null_direction(p: SolitonProblem) -> None:
         )
 
 
-def reduced_rhs(p: SolitonProblem,
-                s: ReducedState) -> tuple[float, float, float, float]:
-    """First-order right-hand side (phi', phi'', f', f'').
+def reduced_rhs(p: SolitonProblem, xi, phi, dphi, f,
+                df) -> tuple[float, float, float, float]:
+    """First-order right-hand side (phi', phi'', f', f'') at the state
+    (phi, phi', f, f') at xi.
 
     The diagonal equation is linear in phi'' with coefficient
     phi * (4 tau xi + L); the first equation then yields f''.
 
-    The fields of `s` are floats (one state, as the integrator calls it) or
-    arrays (many states, as :meth:`ReducedProfile.evaluate` calls it). A
-    float state at a guard raises DomainError, which the integrator treats
-    as a rejected step; array entries at a guard get NaN phi'' and f''.
+    The fields are floats (one state, as the integrator calls it) or
+    equal-shape arrays (many states, as :meth:`ReducedProfile.evaluate`
+    calls it). A float state at a guard raises DomainError, which the
+    integrator treats as a rejected step; array entries at a guard get NaN
+    phi'' and f''. f itself does not enter: the system is autonomous in f.
     """
     check_null_direction(p)
     tau = p.ansatz.tau
-    big_t = 4.0 * tau * s.xi + p.lambda_constant
-    if isinstance(s.phi, np.ndarray):
-        big_t = np.where((np.abs(s.phi) <= TOL_PHI)
+    big_t = 4.0 * tau * xi + p.lambda_constant
+    if isinstance(phi, np.ndarray):
+        big_t = np.where((np.abs(phi) <= TOL_PHI)
                          | (np.abs(big_t) <= TOL_SING), np.nan, big_t)
-    elif abs(s.phi) <= TOL_PHI:
-        raise DegenerateConformalFactor(f"|phi| = {abs(s.phi):.3e} at guard")
+    elif abs(phi) <= TOL_PHI:
+        raise DegenerateConformalFactor(f"|phi| = {abs(phi):.3e} at guard")
     elif abs(big_t) <= TOL_SING:
         raise SingularLocus(
-            f"|4*tau*xi + Lambda| = {abs(big_t):.3e} at xi = {s.xi}"
+            f"|4*tau*xi + Lambda| = {abs(big_t):.3e} at xi = {xi}"
         )
     n = p.n
-    ddphi = ((p.lam - 2.0 * tau * s.phi
-              * (2.0 * (n - 1) * s.dphi + s.phi * s.df)) / big_t
-             + (n - 1) * s.dphi ** 2 + s.phi * s.dphi * s.df) / s.phi
-    ddf = -((n - 2) * ddphi + 2.0 * s.dphi * s.df) / s.phi
-    return s.dphi, ddphi, s.df, ddf
+    ddphi = ((p.lam - 2.0 * tau * phi
+              * (2.0 * (n - 1) * dphi + phi * df)) / big_t
+             + (n - 1) * dphi ** 2 + phi * dphi * df) / phi
+    ddf = -((n - 2) * ddphi + 2.0 * dphi * df) / phi
+    return dphi, ddphi, df, ddf
 
 
 def positive_h(h, xi=None):

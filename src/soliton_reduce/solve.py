@@ -13,6 +13,7 @@ in the node spacing, not machine epsilon.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,8 +66,7 @@ class ReducedProfile(Profile):
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
         xis = self._check_domain(xis)
         phi, dphi, f, df = np.moveaxis(self.solution.eval(xis), -1, 0)
-        state = ReducedState(xis, phi, dphi, f, df)
-        _, ddphi, _, ddf = reduced_rhs(self.problem, state)
+        _, ddphi, _, ddf = reduced_rhs(self.problem, xis, phi, dphi, f, df)
         return phi, dphi, ddphi, f, df, ddf
 
 
@@ -143,12 +143,10 @@ def solve_reduced(p: SolitonProblem, initial: ReducedState,
         raise ValueError("xi_span must start at the initial state's xi")
 
     def rhs(t, y):
-        return np.array(reduced_rhs(p, ReducedState.from_vector(t, y)))
+        return reduced_rhs(p, t, *y)
 
-    events = cfg.events or reduced_events(p, initial)
-    run = IntegrationConfig(xi_span=cfg.xi_span, rel_tol=cfg.rel_tol,
-                            abs_tol=cfg.abs_tol, max_step=cfg.max_step,
-                            first_step=cfg.first_step, events=events)
+    run = dataclasses.replace(
+        cfg, events=cfg.events or reduced_events(p, initial))
     sol = integrate(rhs, initial.as_vector(), run)
     return ReducedProfile(p, sol)
 
@@ -158,15 +156,11 @@ def solve_special(p: SolitonProblem, sp: SpecialParams,
     """Integrate the constrained first-order branch from h0 at span start."""
 
     def rhs(t, y):
-        h = float(y[0])
-        return np.array([special_rhs(p, sp, t, h),
-                         special_f_prime(sp, p.n, h)])
+        h = y[0]
+        return special_rhs(p, sp, t, h), special_f_prime(sp, p.n, h)
 
-    events = cfg.events or special_events()
-    run = IntegrationConfig(xi_span=cfg.xi_span, rel_tol=cfg.rel_tol,
-                            abs_tol=cfg.abs_tol, max_step=cfg.max_step,
-                            first_step=cfg.first_step, events=events)
-    sol = integrate(rhs, np.array([sp.h0, sp.f0]), run)
+    run = dataclasses.replace(cfg, events=cfg.events or special_events())
+    sol = integrate(rhs, (sp.h0, sp.f0), run)
     return SpecialProfile(p, sp, sol)
 
 

@@ -418,6 +418,31 @@ class TestErrorExitCodes:
                 capsys.readouterr().err
         assert not (tmp_path / "s").exists() and not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("span", [[1.0, 6.0], [1.0, 1.0002]],
+                             ids=["cigar", "short"])
+    def test_max_step_beyond_step_budget_exits_2(self, tmp_path, capsys,
+                                                 span):
+        # With max_step 1e-9 the [1, 6] cigar once ran for minutes (5e9
+        # steps), and [1, 1.0002] took 2e5 steps to exit 0.
+        cfg = write_config(tmp_path / "cfg.json", xi_span=span,
+                           tolerances={"max_step": 1e-9})
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "invalid configuration: tolerances.max_step:" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_max_step_within_step_budget_accepted(self):
+        # Exactly the budget: 5 / 5e-5 = 100000 steps.
+        resolve_config({"mode": "theorem2", "n": 2, "epsilon": [1, 1],
+                        "tau": 1.0, "xi_span": [1.0, 6.0],
+                        "initial": {"phi0": 1.0, "dphi0": 0.0, "f0": 0.0,
+                                    "df0": 0.0},
+                        "tolerances": {"max_step": 5e-5}})
+        # A gallery profile is not integrated: its max_step is unused.
+        resolve_config({"mode": "gallery:cigar", "n": 2, "epsilon": [1, 1],
+                        "xi_span": [1.0, 6.0],
+                        "tolerances": {"max_step": 1e-9}})
+
     def test_threshold_flag_must_be_positive_finite(self, tmp_path, capsys):
         # --threshold inf once passed a CSV whose df column is shifted by
         # 0.5 with exit 0.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from soliton_reduce import Event, IntegrationConfig, convergence_order, integrate
+from soliton_reduce import Event, IntegrationConfig, integrate, rk
 from soliton_reduce.errors import DomainError, EventAtStart, StepSizeUnderflow
 
 
@@ -38,19 +38,28 @@ class TestAccuracy:
             errs.append(float(np.linalg.norm(sol.ys[-1] - [1.0, 0.0])))
         assert errs[0] > errs[1] > errs[2]
 
+    @staticmethod
+    def fixed_step_end(f, y0, span, steps):
+        """End state of `steps` equal steps of the integrator's step
+        function, each taking its first stage from the last one's."""
+        t0, tf = span
+        h = (tf - t0) / steps
+        y = list(y0)
+        k0 = f(t0, y)
+        for i in range(steps):
+            y, _, stages = rk._attempt_step(f, t0 + i * h, y, k0, h, 1.0, 1.0)
+            k0 = stages[6]
+        return y
+
     def test_convergence_order(self):
         # Fifth-order scheme: step-halving slope close to 5.
-        order = convergence_order(
-            lambda t, y: np.array([y[0] * math.cos(t)]), [1.0],
-            IntegrationConfig(xi_span=(0.0, 2.0)),
-            reference=lambda t: np.array([math.exp(math.sin(t))]),
-            steps=16)
-        assert 4.2 <= order <= 5.8
+        def f(t, y):
+            return [y[0] * math.cos(t)]
 
-    def test_fixed_step_hits_endpoint(self):
-        sol = integrate(exp_rhs, [1.0], IntegrationConfig(
-            xi_span=(0.0, 1.0), fixed_step=0.3))
-        assert sol.ts[-1] == pytest.approx(1.0, abs=1e-12)
+        exact = math.exp(math.sin(2.0))
+        e1, e2 = (abs(self.fixed_step_end(f, [1.0], (0.0, 2.0), m)[0] - exact)
+                  for m in (16, 32))
+        assert 4.2 <= math.log2(e1 / e2) <= 5.8
 
 
 class TestDenseOutput:
@@ -176,6 +185,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegrationConfig(xi_span=(0.0, 1.0), rel_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_step"])
+    def test_nan_rejected(self, field):
+        # A NaN tolerance or max_step once passed the `<= 0` checks.
+        with pytest.raises(ValueError):
+            IntegrationConfig(xi_span=(0.0, 1.0), **{field: math.nan})
+
+    def test_fixed_step_removed(self):
+        # The fixed-step mode is gone: fixed_step = 0.0 or 1e-300 never
+        # returned, and NaN returned "completed" at xi = nan.
+        with pytest.raises(TypeError):
+            IntegrationConfig(xi_span=(0.0, 1.0), fixed_step=0.1)
+
     def test_degenerate_span(self):
         with pytest.raises(ValueError):
             IntegrationConfig(xi_span=(1.0, 1.0))
@@ -214,3 +235,39 @@ class TestNonFinite:
             integrate(rhs, [1.0, bad, 0.0],
                       IntegrationConfig(xi_span=(0.0, 1.0)))
         assert calls == []  # rejected before the first RHS evaluation
+
+
+class TestStepCost:
+    def test_six_evaluations_per_attempt(self):
+        # FSAL: each attempt takes its first stage from the last accepted
+        # step, so it evaluates f six times, not seven.
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [-y[1], y[0]]
+
+        sol = integrate(rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=(0.0, 6.0), rel_tol=1e-9, abs_tol=1e-11, first_step=1.0))
+        assert sol.n_rejected > 0
+        assert sol.n_fev == len(calls) == \
+            1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+    def test_state_length_checked(self):
+        with pytest.raises(ValueError, match="1 components"):
+            integrate(lambda t, y: [1.0], [0.0, 0.0],
+                      IntegrationConfig(xi_span=(0.0, 1.0)))
+
+
+class TestStepBudget:
+    def test_max_step_ends_by_budget(self):
+        # 2e5 steps of max_step would be needed; the run stops after the
+        # budget with a named termination at its last node.
+        sol = integrate(exp_rhs, [1.0], IntegrationConfig(
+            xi_span=(0.0, 2e-4), max_step=1e-9))
+        t = sol.termination
+        assert t.kind == "step_budget"
+        assert t.detail["attempts"] == rk.MAX_ATTEMPTS
+        assert sol.n_accepted + sol.n_rejected == rk.MAX_ATTEMPTS
+        assert t.xi_stop == sol.t_end == pytest.approx(1e-4, rel=1e-6)
+        assert sol.ys[-1][0] == pytest.approx(math.exp(sol.t_end), rel=1e-12)

@@ -33,6 +33,11 @@ from soliton_reduce.reduction import (
 )
 
 
+def fields(s: ReducedState) -> tuple:
+    """(xi, phi, dphi, f, df): the arguments of reduced_rhs after p."""
+    return s.xi, s.phi, s.dphi, s.f, s.df
+
+
 def make_problem(n=3, tau=1.0, alpha=None, beta=None, lam=0.0, eps=None):
     sig = Signature(eps) if eps is not None else Signature.riemannian(n)
     a = QuadricAnsatz(tau,
@@ -51,7 +56,7 @@ class TestReducedRhs:
         p = make_problem(n=3, tau=1.0, alpha=[1.0, 0.0, 0.0])
         assert p.lambda_constant == 1.0
         s = ReducedState(xi=0.0, phi=1.0, dphi=0.0, f=0.0, df=1.0)
-        dphi, ddphi, df, ddf = reduced_rhs(p, s)
+        dphi, ddphi, df, ddf = reduced_rhs(p, *fields(s))
         assert (dphi, df) == (0.0, 1.0)
         assert ddphi == pytest.approx(-2.0, abs=1e-14)
         assert ddf == pytest.approx(2.0, abs=1e-14)
@@ -62,7 +67,7 @@ class TestReducedRhs:
             p = make_problem(n=3, tau=tau, beta=[0.3, 0.0, 0.0], lam=lam)
             a1 = lam / (2.0 * tau * k ** 2)
             s = ReducedState(xi=1.0, phi=k, dphi=0.0, f=0.0, df=a1)
-            _, ddphi, _, ddf = reduced_rhs(p, s)
+            _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
             assert abs(ddphi) < 1e-13
             assert abs(ddf) < 1e-13
 
@@ -71,7 +76,7 @@ class TestReducedRhs:
         p = make_problem(n=3, tau=1.0, lam=8.0)
         for xi in (0.5, 1.0, 3.0):
             s = ReducedState(xi=xi, phi=xi + 1.0, dphi=1.0, f=0.0, df=0.0)
-            _, ddphi, _, ddf = reduced_rhs(p, s)
+            _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
             assert abs(ddphi) < 1e-12
             assert abs(ddf) < 1e-12
 
@@ -81,7 +86,7 @@ class TestReducedRhs:
                          beta=[0.1, 0.0, 0.0, 0.0], lam=-1.3)
         big_l = p.lambda_constant
         s = ReducedState(xi=0.8, phi=1.4, dphi=-0.3, f=0.2, df=0.6)
-        _, ddphi, _, ddf = reduced_rhs(p, s)
+        _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
         n = 4
         eq1 = (n - 2) * ddphi + s.phi * ddf + 2 * s.dphi * s.df
         big_t = 4 * p.ansatz.tau * s.xi + big_l
@@ -96,13 +101,13 @@ class TestReducedRhs:
         p = make_problem(n=3, tau=1.0)  # Lambda = 0, locus at xi = 0
         s = ReducedState(xi=0.0, phi=1.0, dphi=0.0, f=0.0, df=0.0)
         with pytest.raises(SingularLocus):
-            reduced_rhs(p, s)
+            reduced_rhs(p, *fields(s))
 
     def test_degenerate_phi_raises(self):
         p = make_problem(n=3, tau=1.0)
         s = ReducedState(xi=1.0, phi=1e-14, dphi=0.0, f=0.0, df=0.0)
         with pytest.raises(DegenerateConformalFactor):
-            reduced_rhs(p, s)
+            reduced_rhs(p, *fields(s))
 
     def test_null_direction_rejected(self):
         # tau = 0 with lightlike alpha: Lambda = 0.
@@ -112,11 +117,11 @@ class TestReducedRhs:
             check_null_direction(p)
         s = ReducedState(xi=0.0, phi=1.0, dphi=0.1, f=0.0, df=0.0)
         with pytest.raises(NullTranslationDirection):
-            reduced_rhs(p, s)
+            reduced_rhs(p, *fields(s))
 
     def test_state_vector_round_trip(self):
         s = ReducedState(xi=1.5, phi=2.0, dphi=-0.5, f=0.3, df=0.7)
-        assert ReducedState.from_vector(1.5, s.as_vector()) == s
+        assert ReducedState(1.5, *s.as_vector()) == s
 
 
 class TestProblem:
@@ -376,9 +381,8 @@ class TestArrayEvaluation:
         p = make_problem(n=3, tau=0.7, alpha=[0.2, -0.1, 0.3], lam=-0.5)
         gen = np.random.Generator(np.random.Philox(key=4))
         cols = [gen.uniform(0.5, 2.0, 50) for _ in range(5)]
-        out = np.array(reduced_rhs(p, ReducedState(*cols)))
-        one = np.array([reduced_rhs(p, ReducedState(*(float(c[k])
-                                                      for c in cols)))
+        out = np.array(reduced_rhs(p, *cols))
+        one = np.array([reduced_rhs(p, *(float(c[k]) for c in cols))
                         for k in range(50)]).T
         np.testing.assert_allclose(out, one, rtol=self.ULPS, atol=0.0)
 
@@ -387,8 +391,7 @@ class TestArrayEvaluation:
         xi = np.array([1.0, 0.0, 1.0])
         phi = np.array([1.0, 1.0, 1e-13])
         one = np.ones(3)
-        _, ddphi, _, ddf = reduced_rhs(p, ReducedState(xi, phi, one, one,
-                                                       one))
+        _, ddphi, _, ddf = reduced_rhs(p, xi, phi, one, one, one)
         assert np.isfinite(ddphi[0]) and np.isfinite(ddf[0])
         assert np.all(np.isnan(ddphi[1:])) and np.all(np.isnan(ddf[1:]))
 

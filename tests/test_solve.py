@@ -23,6 +23,7 @@ from soliton_reduce import (
 )
 from soliton_reduce.ansatz import QuadricAnsatz
 from soliton_reduce.errors import EventAtStart, OutOfDomain, ProfileMalformed
+from soliton_reduce.solve import reduced_events
 
 
 def make_problem(n=3, tau=1.0, alpha=None, beta=None, lam=0.0, eps=None):
@@ -109,6 +110,79 @@ class TestSolveReduced:
         ini = ReducedState(xi=0.0, phi=1.0, dphi=0.0, f=0.0, df=0.0)
         with pytest.raises(EventAtStart):
             solve_reduced(p, ini, IntegrationConfig(xi_span=(0.0, 1.0)))
+
+
+def scan_problem(j):
+    """Reduced run j of a seeded scan aimed across the singular locus
+    (the construction of pipebench's solve-scan inputs at seed 1)."""
+    gen = np.random.Generator(np.random.Philox(key=1_000_000 + j))
+    n = int(gen.integers(2, 4))
+    tau = float(gen.choice([-1.0, 1.0]) * gen.uniform(0.5, 1.5))
+    p = make_problem(n=n, tau=tau, alpha=gen.uniform(-0.5, 0.5, n),
+                     beta=gen.uniform(-0.5, 0.5, n),
+                     lam=float(gen.uniform(-3.0, 1.0)))
+    locus = -p.lambda_constant / (4.0 * tau)
+    side = float(gen.choice([-1.0, 1.0]))
+    xi0 = locus + side * float(gen.uniform(0.5, 2.0))
+    ini = ReducedState(xi=xi0, phi=float(gen.uniform(0.5, 2.0)),
+                       dphi=float(gen.uniform(-1.0, 1.0)), f=0.0,
+                       df=float(gen.uniform(-1.0, 1.0)))
+    cfg = IntegrationConfig(xi_span=(xi0, locus - side), rel_tol=1e-8,
+                            abs_tol=1e-10,
+                            events=reduced_events(p, ini, blowup=1e5))
+    return p, ini, cfg
+
+
+#: (accepted, rejected) steps of scan_problem(0 .. 19), recorded with the
+#: numpy-stage integrator that preceded the float step loop; every run
+#: ends by the field_blowup event.
+SCAN_STEPS = [(174, 3), (158, 0), (154, 2), (172, 1), (1318, 1), (169, 2),
+              (133, 0), (142, 0), (158, 0), (162, 0), (171, 0), (169, 2),
+              (135, 0), (147, 11), (161, 0), (135, 0), (162, 1), (178, 8),
+              (170, 5), (161, 0)]
+
+
+class TestStepSequence:
+    def test_scan_step_counts_recorded(self):
+        got = []
+        for j in range(len(SCAN_STEPS)):
+            sol = solve_reduced(*scan_problem(j)).solution
+            assert (sol.termination.kind, sol.termination.event) == \
+                ("event", "field_blowup")
+            got.append((sol.n_accepted, sol.n_rejected))
+        assert got == SCAN_STEPS
+
+    @pytest.mark.parametrize("rel_tol, steps, bound", [
+        (1e-6, 11, 3.6e-6), (1e-8, 23, 2.6e-8), (1e-12, 124, 1.9e-12)])
+    def test_cigar_accuracy(self, rel_tol, steps, bound):
+        # Recorded before the float step loop: 3.52e-6, 2.52e-8 and
+        # 1.878e-12 (now 1.883e-12), no rejected steps.
+        entry = gallery("cigar")
+        s1 = entry.profile.sample(1.0)
+        ini = ReducedState(xi=1.0, phi=s1.phi, dphi=s1.dphi, f=s1.f,
+                           df=s1.df)
+        sol = solve_reduced(entry.problem, ini, IntegrationConfig(
+            xi_span=(1.0, 8.0), rel_tol=rel_tol, abs_tol=rel_tol / 10)
+        ).solution
+        assert (sol.n_accepted, sol.n_rejected) == (steps, 0)
+        xis = np.linspace(1.0, 8.0, 1001)
+        assert np.max(np.abs(sol.eval(xis)[:, 0] ** 2 - (1.0 + xis))) <= bound
+
+    def test_special_cigar_accuracy(self):
+        entry = gallery("cigar")
+        sol = solve_special(entry.problem, entry.special, IntegrationConfig(
+            xi_span=(0.0, 12.0), rel_tol=1e-12, abs_tol=1e-13)).solution
+        assert (sol.n_accepted, sol.n_rejected) == (132, 0)
+        assert np.max(np.abs(sol.ys[:, 0] - (1.0 + sol.ts))) <= 1e-14
+
+    def test_max_step_reaches_integrator(self):
+        # The caller's config is passed through whole, events replaced.
+        entry = gallery("cigar")
+        cfg = IntegrationConfig(xi_span=(0.0, 8.0), first_step=0.01,
+                                max_step=0.25)
+        sol = solve_special(entry.problem, entry.special, cfg).solution
+        assert sol.seg_h[0] == 0.01
+        assert np.max(sol.seg_h) == 0.25
 
 
 class TestSolveSpecial:
