@@ -43,6 +43,7 @@ from .verify import SampleSpec, verify_profile
 
 CSV_COLUMNS = ("xi", "phi", "dphi", "f", "df")
 DEFAULT_OUTPUT_POINTS = 2001
+MAX_POINTS = 10_000_000
 
 # CSV-backed verification reconstructs second derivatives from splines of
 # the stored columns; its residual floor is the reconstruction error, well
@@ -71,9 +72,9 @@ def _positive(v) -> bool:
     return _finite(v) and v > 0
 
 
-def _int_at_least(v, lo: int) -> bool:
-    """An integer (not a boolean) >= lo."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+def _int_in(v, lo: int, hi=math.inf) -> bool:
+    """An integer (not a boolean) in [lo, hi]."""
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
 
 
 def load_config(path: str | Path) -> dict:
@@ -119,7 +120,7 @@ def _gallery_param_errors(name: str, params: dict,
             _require(ok, f"{field}: null or a list{of_n} finite numbers "
                      "required", errors)
         elif isinstance(defaults[key], int):
-            _require(_int_at_least(val, 2) and val == (n or val),
+            _require(_int_in(val, 2) and val == (n or val),
                      f"{field}: the dimension{of_n}, an integer >= 2, "
                      "required", errors)
         else:
@@ -149,7 +150,7 @@ def resolve_config(raw: dict) -> dict:
                  errors)
 
     n = cfg.get("n")
-    n_ok = _require(_int_at_least(n, 2), "n: integer >= 2 required", errors)
+    n_ok = _require(_int_in(n, 2), "n: integer >= 2 required", errors)
     eps = cfg.get("epsilon")
     if n_ok and _require(isinstance(eps, list) and len(eps) == n,
                          f"epsilon: list of length n = {n} required", errors):
@@ -219,9 +220,9 @@ def resolve_config(raw: dict) -> dict:
     sample.setdefault("count", 500)
     sample.setdefault("exclusion_phi", 1e-8)
     sample.setdefault("exclusion_sing", 1e-8)
-    _require(_int_at_least(sample["count"], 1),
-             "sample.count: integer >= 1 required", errors)
-    _require(_int_at_least(sample["seed"], 0),
+    _require(_int_in(sample["count"], 1, MAX_POINTS),
+             f"sample.count: integer in [1, {MAX_POINTS}] required", errors)
+    _require(_int_in(sample["seed"], 0),
              "sample.seed: integer >= 0 required", errors)
     for key in ("exclusion_phi", "exclusion_sing"):
         _require(_finite(sample[key]) and sample[key] >= 0,
@@ -238,8 +239,8 @@ def resolve_config(raw: dict) -> dict:
 
     output = _section(cfg, "output", errors)
     output.setdefault("points", DEFAULT_OUTPUT_POINTS)
-    _require(_int_at_least(output["points"], 2),
-             "output.points: integer >= 2 required", errors)
+    _require(_int_in(output["points"], 2, MAX_POINTS),
+             f"output.points: integer in [2, {MAX_POINTS}] required", errors)
     output.setdefault("profile_csv", "profile.csv")
     output.setdefault("summary_json", "summary.json")
     output.setdefault("report_json", "report.json")
@@ -482,7 +483,8 @@ def _sample_spec(cfg: dict, args) -> SampleSpec:
     count = args.points if args.points is not None else sample["count"]
     seed = args.seed if args.seed is not None else sample["seed"]
     errors: list[str] = []
-    _require(count >= 1, "--points: integer >= 1 required", errors)
+    _require(1 <= count <= MAX_POINTS,
+             f"--points: integer in [1, {MAX_POINTS}] required", errors)
     _require(seed >= 0, "--seed: integer >= 0 required", errors)
     if errors:
         raise ConfigInvalid(errors)

@@ -111,94 +111,100 @@ def check_null_direction(p: SolitonProblem) -> None:
         )
 
 
-def reduced_rhs(p: SolitonProblem, xi, phi, dphi, f,
-                df) -> tuple[float, float, float, float]:
-    """First-order right-hand side (phi', phi'', f', f'') at the state
-    (phi, phi', f, f') at xi.
-
-    The diagonal equation is linear in phi'' with coefficient
-    phi * (4 tau xi + L); the first equation then yields f''.
-
-    The fields are floats (one state, as the integrator calls it) or
-    equal-shape arrays (many states, as :meth:`ReducedProfile.evaluate`
-    calls it). A float state at a guard raises DomainError, which the
-    integrator treats as a rejected step; array entries at a guard get NaN
-    phi'' and f''. f itself does not enter: the system is autonomous in f.
-    """
+def _second_derivatives(p: SolitonProblem, power):
+    """(phi'', f'') of problem p from (phi, phi', f', T), T = 4 tau xi + L:
+    the diagonal equation is linear in phi'' with coefficient phi * T, and
+    the first equation then yields f''. ``power`` is ``pow`` for floats and
+    ``np.float_power`` for arrays: both round like libm's pow, where numpy's
+    ``**`` does not, so the float and array paths agree bit for bit."""
     check_null_direction(p)
-    tau = p.ansatz.tau
-    big_t = 4.0 * tau * xi + p.lambda_constant
-    if isinstance(phi, np.ndarray):
-        big_t = np.where((np.abs(phi) <= TOL_PHI)
-                         | (np.abs(big_t) <= TOL_SING), np.nan, big_t)
-    elif abs(phi) <= TOL_PHI:
-        raise DegenerateConformalFactor(f"|phi| = {abs(phi):.3e} at guard")
-    elif abs(big_t) <= TOL_SING:
-        raise SingularLocus(
-            f"|4*tau*xi + Lambda| = {abs(big_t):.3e} at xi = {xi}"
-        )
-    n = p.n
-    ddphi = ((p.lam - 2.0 * tau * phi
-              * (2.0 * (n - 1) * dphi + phi * df)) / big_t
-             + (n - 1) * dphi ** 2 + phi * dphi * df) / phi
-    ddf = -((n - 2) * ddphi + 2.0 * dphi * df) / phi
-    return dphi, ddphi, df, ddf
+    two_tau, lam, n1, n2 = 2.0 * p.ansatz.tau, p.lam, p.n - 1, p.n - 2
+
+    def second(phi, dphi, df, big_t):
+        ddphi = ((lam - two_tau * phi * (2.0 * n1 * dphi + phi * df)) / big_t
+                 + n1 * power(dphi, 2) + phi * dphi * df) / phi
+        return ddphi, -(n2 * ddphi + 2.0 * dphi * df) / phi
+    return second
 
 
-def positive_h(h, xi=None):
-    """h for h > 0; else NonPositiveH for a float, NaN entries for an array."""
-    if isinstance(h, np.ndarray):
-        return np.where(h > 0.0, h, np.nan)
-    if h <= 0.0:
-        raise NonPositiveH(f"h = {h}" if xi is None
-                           else f"h = {h} at xi = {xi}")
-    return h
+def reduced_rhs(p: SolitonProblem):
+    """Problem p's reduced system for the integrator: the float closure
+    rhs(xi, y) -> (phi', phi'', f', f'') with y = (phi, phi', f, f'). p is
+    checked once, here; a state at a guard raises DegenerateConformalFactor
+    or SingularLocus, DomainErrors that reject the step."""
+    second = _second_derivatives(p, pow)
+    four_tau, big_l = 4.0 * p.ansatz.tau, p.lambda_constant
+
+    def rhs(xi, y):
+        phi, dphi, _, df = y
+        big_t = four_tau * xi + big_l
+        if abs(phi) <= TOL_PHI:
+            raise DegenerateConformalFactor(f"|phi| = {abs(phi):.3e} at guard")
+        if abs(big_t) <= TOL_SING:
+            raise SingularLocus(
+                f"|4*tau*xi + Lambda| = {abs(big_t):.3e} at xi = {xi}")
+        ddphi, ddf = second(phi, dphi, df, big_t)
+        return dphi, ddphi, df, ddf
+    return rhs
 
 
-def special_rhs(p: SolitonProblem, sp: SpecialParams, xi, h):
-    """h' for the constrained branch, h = phi^2.
+def reduced_second_derivatives(p: SolitonProblem, xi, phi, dphi, df):
+    """(phi'', f'') at arrays of states; NaN where reduced_rhs raises."""
+    big_t = 4.0 * p.ansatz.tau * xi + p.lambda_constant
+    big_t = np.where((np.abs(phi) <= TOL_PHI) | (np.abs(big_t) <= TOL_SING),
+                     np.nan, big_t)
+    return _second_derivatives(p, np.float_power)(phi, dphi, df, big_t)
 
-    (n-1) h' + c1 h^(-(n-2)/(n+2)) = c2 (4 tau xi + L) + lambda/(2 tau).
 
-    Floats or arrays, as in :func:`reduced_rhs`: h <= 0 raises for a float
-    and gives NaN for array entries.
-    """
+def _special_slopes(p: SolitonProblem, sp: SpecialParams, power):
+    """(h', f') of the constrained branch from (xi, h), h = phi^2 > 0:
+    (n-1) h' + c1 h^(-(n-2)/(n+2)) = c2 (4 tau xi + L) + lambda/(2 tau) and
+    f' = c1 h^(-2n/(n+2)); ``power`` as in :func:`_second_derivatives`."""
     tau = p.ansatz.tau
     if tau == 0.0:
         raise RequiresNonzeroTau("lambda/(2*tau) undefined at tau = 0")
-    h = positive_h(h, xi)
-    n = p.n
-    expo = (n - 2) / (n + 2)
-    big_t = 4.0 * tau * xi + p.lambda_constant
-    return (sp.c2 * big_t + p.lam / (2.0 * tau)
-            - sp.c1 * h ** (-expo)) / (n - 1)
+    n, c1, c2 = p.n, sp.c1, sp.c2
+    four_tau, big_l, source = 4.0 * tau, p.lambda_constant, p.lam / (2.0 * tau)
+    h_expo, f_expo = -((n - 2) / (n + 2)), -2.0 * n / (n + 2)
+
+    def slopes(xi, h):
+        return ((c2 * (four_tau * xi + big_l) + source
+                 - c1 * power(h, h_expo)) / (n - 1), c1 * power(h, f_expo))
+    return slopes
 
 
-def special_f_prime(sp: SpecialParams, n: int, h):
-    """f' = c1 * h^(-2n/(n+2)) along the constrained branch."""
-    return sp.c1 * positive_h(h) ** (-2.0 * n / (n + 2))
+def special_rhs(p: SolitonProblem, sp: SpecialParams):
+    """The constrained branch for the integrator: the float closure
+    rhs(xi, y) -> (h', f') with y = (h, f). RequiresNonzeroTau is raised
+    here; h <= 0 raises NonPositiveH, a DomainError."""
+    slopes = _special_slopes(p, sp, pow)
+
+    def rhs(xi, y):
+        h = y[0]
+        if h <= 0.0:
+            raise NonPositiveH(f"h = {h} at xi = {xi}")
+        return slopes(xi, h)
+    return rhs
 
 
-def special_second_derivatives(p: SolitonProblem, sp: SpecialParams,
-                               xi, h) -> tuple:
-    """(phi'', f'') reconstructed from h along the constrained branch.
+def special_jet(p: SolitonProblem, sp: SpecialParams, xi, h) -> tuple:
+    """(phi, phi', phi'', f', f'') from h along the constrained branch, at
+    arrays (xi, h); NaN where h <= 0.
 
     h'' comes from differentiating the first-order relation; then
     phi phi'' = h''/2 - phi'^2 and f'' = -2n/(n+2) c1 h^(-2n/(n+2)-1) h'.
-    Floats or arrays, as :func:`special_rhs`.
     """
     n = p.n
-    tau = p.ansatz.tau
-    expo = (n - 2) / (n + 2)
-    h = positive_h(h, xi)
-    dh = special_rhs(p, sp, xi, h)
-    ddh = (4.0 * tau * sp.c2
-           + sp.c1 * expo * h ** (-expo - 1.0) * dh) / (n - 1)
+    expo, f_expo = (n - 2) / (n + 2), -2.0 * n / (n + 2)
+    h = np.where(h > 0.0, h, np.nan)
+    dh, df = _special_slopes(p, sp, np.float_power)(xi, h)
+    ddh = (4.0 * p.ansatz.tau * sp.c2 + sp.c1 * expo
+           * np.float_power(h, -expo - 1.0) * dh) / (n - 1)
     phi = np.sqrt(h)
     dphi = dh / (2.0 * phi)
-    ddphi = (0.5 * ddh - dphi ** 2) / phi
-    ddf = -2.0 * n / (n + 2) * sp.c1 * h ** (-2.0 * n / (n + 2) - 1.0) * dh
-    return ddphi, ddf
+    ddphi = (0.5 * ddh - np.float_power(dphi, 2)) / phi
+    ddf = f_expo * sp.c1 * np.float_power(h, f_expo - 1.0) * dh
+    return phi, dphi, ddphi, df, ddf
 
 
 def check_special_constraint(phi, ddphi, ddf, n: int) -> float:

@@ -130,8 +130,9 @@ class RawSolution:
     Step i of the dense output starts at ``seg_t0[i]`` with signed length
     ``seg_h[i]`` and state ``seg_y0[i]``; ``seg_q[i]`` (shape (ny, 4)) holds
     its quartic coefficients. Steps are ordered along the integration
-    direction. ``n_fev`` counts the RHS evaluations of the initial state
-    and of every attempt that ran all six stages.
+    direction. ``n_fev`` counts every RHS call: the initial state, the
+    initial-step probe, and each stage of each attempt, the stages of one
+    cut short by a DomainError included.
     """
 
     ts: np.ndarray
@@ -207,22 +208,33 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
 
 def _attempt_step(f, t, y, k0, h, rtol, atol):
     """One DP5(4) trial step of signed length h from (t, y), with
-    k0 = f(t, y). Returns the fifth-order state, the RMS norm of its error
-    estimate h * sum_j e_j k_j scaled by atol + rtol * max(|y|, |y_new|),
-    and the seven stages (the last is f at the new state)."""
-    k1 = f(t + _C1 * h, [v + h * (_A10 * a) for v, a in zip(y, k0)])
-    k2 = f(t + _C2 * h, [v + h * (_A20 * a + _A21 * b)
-                         for v, a, b in zip(y, k0, k1)])
-    k3 = f(t + _C3 * h, [v + h * (_A30 * a + _A31 * b + _A32 * c)
-                         for v, a, b, c in zip(y, k0, k1, k2)])
-    k4 = f(t + _C4 * h, [v + h * (_A40 * a + _A41 * b + _A42 * c + _A43 * d)
-                         for v, a, b, c, d in zip(y, k0, k1, k2, k3)])
-    k5 = f(t + h, [v + h * (_A50 * a + _A51 * b + _A52 * c + _A53 * d
-                            + _A54 * e)
-                   for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)])
-    y_new = [v + h * (_B0 * a + _B2 * c + _B3 * d + _B4 * e + _B5 * g)
-             for v, a, c, d, e, g in zip(y, k0, k2, k3, k4, k5)]
-    k6 = f(t + h, y_new)
+    k0 = f(t, y). Returns the f calls made, the fifth-order state (None
+    if f raised DomainError), the RMS norm of its error estimate
+    h * sum_j e_j k_j scaled by atol + rtol * max(|y|, |y_new|), and the
+    seven stages (the last is f at the new state)."""
+    calls = 1
+    try:
+        k1 = f(t + _C1 * h, [v + h * (_A10 * a) for v, a in zip(y, k0)])
+        calls = 2
+        k2 = f(t + _C2 * h, [v + h * (_A20 * a + _A21 * b)
+                             for v, a, b in zip(y, k0, k1)])
+        calls = 3
+        k3 = f(t + _C3 * h, [v + h * (_A30 * a + _A31 * b + _A32 * c)
+                             for v, a, b, c in zip(y, k0, k1, k2)])
+        calls = 4
+        k4 = f(t + _C4 * h, [v + h * (_A40 * a + _A41 * b + _A42 * c
+                                      + _A43 * d)
+                             for v, a, b, c, d in zip(y, k0, k1, k2, k3)])
+        calls = 5
+        k5 = f(t + h, [v + h * (_A50 * a + _A51 * b + _A52 * c + _A53 * d
+                                + _A54 * e)
+                       for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)])
+        y_new = [v + h * (_B0 * a + _B2 * c + _B3 * d + _B4 * e + _B5 * g)
+                 for v, a, c, d, e, g in zip(y, k0, k2, k3, k4, k5)]
+        calls = 6
+        k6 = f(t + h, y_new)
+    except DomainError:
+        return calls, None, None, None
     total = 0.0
     for v, w, a, c, d, e, g, k in zip(y, y_new, k0, k2, k3, k4, k5, k6):
         err = h * (_E0 * a + _E2 * c + _E3 * d + _E4 * e + _E5 * g + _E6 * k)
@@ -230,7 +242,7 @@ def _attempt_step(f, t, y, k0, h, rtol, atol):
         # rejected whatever max() makes of the scale.
         err /= atol + rtol * max(abs(v), abs(w))
         total += err * err
-    return y_new, math.sqrt(total / len(y)), (k0, k1, k2, k3, k4, k5, k6)
+    return 6, y_new, math.sqrt(total / len(y)), (k0, k1, k2, k3, k4, k5, k6)
 
 
 def _bisect_event(g, step, t_lo: float, t_hi: float) -> float:
@@ -268,7 +280,6 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
     if len(k0) != ny:
         raise ValueError(f"f returned {len(k0)} components for a state "
                          f"of {ny}")
-    n_fev = 1
 
     # Nodes, and the signed length and seven stages of each accepted step.
     ts, ys = array("d", [t0]), array("d", y)
@@ -276,6 +287,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
     event_q = None  # coefficients of the step an event stopped
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     span = abs(tf - t0)
+    n_fev = 1 if cfg.first_step else 2  # the initial state, the probe
     h = cfg.first_step or _initial_step(f, t0, y, k0, direction, rtol, atol,
                                         span)
     h = min(h, max_step, span)
@@ -305,15 +317,14 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         h_signed = direction * h
         attempts += 1
 
-        try:
-            y_new, err, stages = _attempt_step(f, t, y, k0, h_signed,
-                                               rtol, atol)
-        except DomainError:
+        calls, y_new, err, stages = _attempt_step(f, t, y, k0, h_signed,
+                                                  rtol, atol)
+        n_fev += calls
+        if y_new is None:  # f raised DomainError
             n_rejected += 1
             domain_failures += 1
             h *= 0.5
             continue
-        n_fev += 6
         domain_failures = 0
 
         # A non-finite trial state makes the norm NaN: reject, don't accept.

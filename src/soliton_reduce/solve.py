@@ -1,14 +1,14 @@
 """Drivers tying the reduced systems to the integrator, plus profiles
 backed by numeric solutions and by CSV node data.
 
-Numeric profiles reconstruct second derivatives from the right-hand side
-at query time, so the algebraic relations between (phi'', f'') and the
-first-order data hold exactly along the dense output. CSV-backed profiles
-cannot do that without assuming the conclusion (the RHS *defines* the
-second derivatives by the equations under test), so they differentiate
-not-a-knot cubic spline fits of the stored first-derivative columns
-instead; their residual floor is the spline reconstruction error, O(dxi^3)
-in the node spacing, not machine epsilon.
+Numeric profiles take second derivatives from the reduced equations,
+with the integrator's arithmetic, so along the dense output those
+equations hold to round-off by construction: the residuals of an
+in-memory numeric profile measure round-off, not integration error.
+CSV-backed profiles differentiate not-a-knot cubic spline fits of the
+stored first-derivative columns instead (the equations under test would
+assume the conclusion); their residual floor is the spline
+reconstruction error, O(dxi^3) in the node spacing.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from .reduction import (
     ReducedState,
     SolitonProblem,
     SpecialParams,
-    check_null_direction,
-    positive_h,
     reduced_rhs,
-    special_f_prime,
+    reduced_second_derivatives,
+    special_jet,
     special_rhs,
-    special_second_derivatives,
 )
 from .rk import Event, IntegrationConfig, RawSolution, integrate
 
@@ -41,18 +39,13 @@ TOL_H = 1e-12
 DEFAULT_BLOWUP = 1e8
 
 
-def _span_bounds(sol: RawSolution) -> tuple[float, float]:
-    a, b = sol.t_start, sol.t_end
-    return (a, b) if a <= b else (b, a)
-
-
 class ReducedProfile(Profile):
     """Numerically integrated solution of the full second-order system."""
 
     def __init__(self, problem: SolitonProblem, sol: RawSolution):
         self.problem = problem
         self.solution = sol
-        self.xi_min, self.xi_max = _span_bounds(sol)
+        self.xi_min, self.xi_max = sorted((sol.t_start, sol.t_end))
         self.termination = sol.termination
 
     @property
@@ -66,7 +59,8 @@ class ReducedProfile(Profile):
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
         xis = self._check_domain(xis)
         phi, dphi, f, df = np.moveaxis(self.solution.eval(xis), -1, 0)
-        _, ddphi, _, ddf = reduced_rhs(self.problem, xis, phi, dphi, f, df)
+        ddphi, ddf = reduced_second_derivatives(self.problem, xis, phi,
+                                                dphi, df)
         return phi, dphi, ddphi, f, df, ddf
 
 
@@ -78,7 +72,7 @@ class SpecialProfile(Profile):
         self.problem = problem
         self.special = sp
         self.solution = sol
-        self.xi_min, self.xi_max = _span_bounds(sol)
+        self.xi_min, self.xi_max = sorted((sol.t_start, sol.t_end))
         self.termination = sol.termination
 
     @property
@@ -88,13 +82,8 @@ class SpecialProfile(Profile):
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
         xis = self._check_domain(xis)
         h, f = np.moveaxis(self.solution.eval(xis), -1, 0)
-        h = positive_h(h)
-        p, sp = self.problem, self.special
-        dh = special_rhs(p, sp, xis, h)
-        phi = np.sqrt(h)
-        dphi = dh / (2.0 * phi)
-        df = special_f_prime(sp, p.n, h)
-        ddphi, ddf = special_second_derivatives(p, sp, xis, h)
+        phi, dphi, ddphi, df, ddf = special_jet(self.problem, self.special,
+                                                xis, h)
         return phi, dphi, ddphi, f, df, ddf
 
 
@@ -138,13 +127,9 @@ def special_events(blowup: float = DEFAULT_BLOWUP) -> tuple[Event, ...]:
 def solve_reduced(p: SolitonProblem, initial: ReducedState,
                   cfg: IntegrationConfig) -> ReducedProfile:
     """Integrate the second-order system from the given state."""
-    check_null_direction(p)
+    rhs = reduced_rhs(p)
     if cfg.xi_span[0] != initial.xi:
         raise ValueError("xi_span must start at the initial state's xi")
-
-    def rhs(t, y):
-        return reduced_rhs(p, t, *y)
-
     run = dataclasses.replace(
         cfg, events=cfg.events or reduced_events(p, initial))
     sol = integrate(rhs, initial.as_vector(), run)
@@ -154,13 +139,8 @@ def solve_reduced(p: SolitonProblem, initial: ReducedState,
 def solve_special(p: SolitonProblem, sp: SpecialParams,
                   cfg: IntegrationConfig) -> SpecialProfile:
     """Integrate the constrained first-order branch from h0 at span start."""
-
-    def rhs(t, y):
-        h = y[0]
-        return special_rhs(p, sp, t, h), special_f_prime(sp, p.n, h)
-
     run = dataclasses.replace(cfg, events=cfg.events or special_events())
-    sol = integrate(rhs, (sp.h0, sp.f0), run)
+    sol = integrate(special_rhs(p, sp), (sp.h0, sp.f0), run)
     return SpecialProfile(p, sp, sol)
 
 

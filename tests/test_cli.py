@@ -96,6 +96,11 @@ class TestResolveConfig:
         pytest.param("sample.box.0.1", 10 ** 400, id="sample.box.0.1-10**400"),
         # solve once wrote a CSV of 0, 1 or int(2.5) = 2 rows with exit 0.
         ("output.points", 0), ("output.points", 1), ("output.points", 2.5),
+        # Sizes above the bound once died in a numpy allocation with a
+        # traceback and exit 1; these checks allocate nothing.
+        ("sample.count", 10 ** 7 + 1), ("output.points", 10 ** 7 + 1),
+        pytest.param("sample.count", 10 ** 12, id="sample.count-10**12"),
+        pytest.param("output.points", 10 ** 12, id="output.points-10**12"),
     ])
     def test_rejects_non_finite_and_bool(self, tmp_path, field, bad):
         raw = json.loads(write_config(tmp_path / "c.json").read_text())
@@ -346,9 +351,10 @@ class TestErrorExitCodes:
         assert not (tmp_path / "profile.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--points", "0"], ["--points", "-5"],
-                                      ["--seed", "-1"]],
+                                      ["--seed", "-1"],
+                                      ["--points", str(10 ** 12)]],
                              ids=["points_0", "points_negative",
-                                  "seed_negative"])
+                                  "seed_negative", "points_above_bound"])
     def test_bad_verify_flags_exit_2(self, tmp_path, flag):
         # --points 0 once fell back to the config's count; a negative count
         # or seed died with a traceback and exit 1.
@@ -442,6 +448,22 @@ class TestErrorExitCodes:
         resolve_config({"mode": "gallery:cigar", "n": 2, "epsilon": [1, 1],
                         "xi_span": [1.0, 6.0],
                         "tolerances": {"max_step": 1e-9}})
+
+    @pytest.mark.parametrize("section, key", [("output", "points"),
+                                              ("sample", "count")])
+    def test_oversized_sizes_exit_2(self, tmp_path, capsys, section, key):
+        # 10**12 once died in a numpy allocation with a traceback and
+        # exit 1; the bound is checked before anything is allocated.
+        base = json.loads(write_config(tmp_path / "base.json").read_text())
+        cfg = write_config(tmp_path / "cfg.json", **{
+            section: dict(base.get(section, {}), **{key: 10 ** 12})})
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert f"invalid configuration: {section}.{key}: integer in" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        raw = json.loads(cfg.read_text())
+        raw[section][key] = cli.MAX_POINTS  # the bound itself is accepted
+        assert resolve_config(raw)[section][key] == cli.MAX_POINTS
 
     def test_threshold_flag_must_be_positive_finite(self, tmp_path, capsys):
         # --threshold inf once passed a CSV whose df column is shifted by

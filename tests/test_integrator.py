@@ -47,7 +47,8 @@ class TestAccuracy:
         y = list(y0)
         k0 = f(t0, y)
         for i in range(steps):
-            y, _, stages = rk._attempt_step(f, t0 + i * h, y, k0, h, 1.0, 1.0)
+            _, y, _, stages = rk._attempt_step(f, t0 + i * h, y, k0, h, 1.0,
+                                               1.0)
             k0 = stages[6]
         return y
 
@@ -252,6 +253,50 @@ class TestStepCost:
         assert sol.n_rejected > 0
         assert sol.n_fev == len(calls) == \
             1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+    @staticmethod
+    def counted(f):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return f(t, y)
+        return rhs, calls
+
+    def test_no_domain_errors_counted_exactly(self):
+        # Without first_step the initial-step probe is one more call.
+        rhs, calls = self.counted(lambda t, y: [-y[1], y[0]])
+        sol = integrate(rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=(0.0, 6.0), rel_tol=1e-9, abs_tol=1e-11))
+        assert sol.n_fev == len(calls) == \
+            2 + 6 * (sol.n_accepted + sol.n_rejected)
+
+    def test_domain_errors_counted_exactly(self):
+        # f fails past t = 2, so an attempt reaching past it stops at its
+        # first stage there; the stages it ran before count as calls too.
+        def wall(t, y):
+            if t > 2.0:
+                raise DomainError("wall")
+            return [1.0]
+
+        rhs, calls = self.counted(wall)
+        sol = integrate(rhs, [0.0], IntegrationConfig(xi_span=(0.0, 3.0)))
+        assert sol.termination.event == "domain_boundary"
+        assert sol.n_rejected > 0
+        assert sol.n_fev == len(calls) < \
+            2 + 6 * (sol.n_accepted + sol.n_rejected)  # attempts cut short
+
+    def test_failed_probe_counted(self):
+        # The initial-step probe raising DomainError is a call as well.
+        def wall(t, y):
+            if t > 0.0:
+                raise DomainError("wall")
+            return [1.0]
+
+        rhs, calls = self.counted(wall)
+        sol = integrate(rhs, [0.0], IntegrationConfig(xi_span=(0.0, 1.0)))
+        assert sol.termination.event == "domain_boundary"
+        assert sol.n_fev == len(calls) == 2 + sol.n_rejected
 
     def test_state_length_checked(self):
         with pytest.raises(ValueError, match="1 components"):

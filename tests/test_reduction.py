@@ -27,15 +27,16 @@ from soliton_reduce.errors import (
     SingularLocus,
 )
 from soliton_reduce.reduction import (
+    _special_slopes,
     check_null_direction,
-    special_f_prime,
-    special_second_derivatives,
+    reduced_second_derivatives,
+    special_jet,
 )
 
 
-def fields(s: ReducedState) -> tuple:
-    """(xi, phi, dphi, f, df): the arguments of reduced_rhs after p."""
-    return s.xi, s.phi, s.dphi, s.f, s.df
+def rhs_at(p: SolitonProblem, s: ReducedState) -> tuple:
+    """(phi', phi'', f', f'') of problem p's float closure at state s."""
+    return reduced_rhs(p)(s.xi, [s.phi, s.dphi, s.f, s.df])
 
 
 def make_problem(n=3, tau=1.0, alpha=None, beta=None, lam=0.0, eps=None):
@@ -56,7 +57,7 @@ class TestReducedRhs:
         p = make_problem(n=3, tau=1.0, alpha=[1.0, 0.0, 0.0])
         assert p.lambda_constant == 1.0
         s = ReducedState(xi=0.0, phi=1.0, dphi=0.0, f=0.0, df=1.0)
-        dphi, ddphi, df, ddf = reduced_rhs(p, *fields(s))
+        dphi, ddphi, df, ddf = rhs_at(p, s)
         assert (dphi, df) == (0.0, 1.0)
         assert ddphi == pytest.approx(-2.0, abs=1e-14)
         assert ddf == pytest.approx(2.0, abs=1e-14)
@@ -67,7 +68,7 @@ class TestReducedRhs:
             p = make_problem(n=3, tau=tau, beta=[0.3, 0.0, 0.0], lam=lam)
             a1 = lam / (2.0 * tau * k ** 2)
             s = ReducedState(xi=1.0, phi=k, dphi=0.0, f=0.0, df=a1)
-            _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
+            _, ddphi, _, ddf = rhs_at(p, s)
             assert abs(ddphi) < 1e-13
             assert abs(ddf) < 1e-13
 
@@ -76,7 +77,7 @@ class TestReducedRhs:
         p = make_problem(n=3, tau=1.0, lam=8.0)
         for xi in (0.5, 1.0, 3.0):
             s = ReducedState(xi=xi, phi=xi + 1.0, dphi=1.0, f=0.0, df=0.0)
-            _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
+            _, ddphi, _, ddf = rhs_at(p, s)
             assert abs(ddphi) < 1e-12
             assert abs(ddf) < 1e-12
 
@@ -86,7 +87,7 @@ class TestReducedRhs:
                          beta=[0.1, 0.0, 0.0, 0.0], lam=-1.3)
         big_l = p.lambda_constant
         s = ReducedState(xi=0.8, phi=1.4, dphi=-0.3, f=0.2, df=0.6)
-        _, ddphi, _, ddf = reduced_rhs(p, *fields(s))
+        _, ddphi, _, ddf = rhs_at(p, s)
         n = 4
         eq1 = (n - 2) * ddphi + s.phi * ddf + 2 * s.dphi * s.df
         big_t = 4 * p.ansatz.tau * s.xi + big_l
@@ -99,15 +100,15 @@ class TestReducedRhs:
 
     def test_singular_locus_raises(self):
         p = make_problem(n=3, tau=1.0)  # Lambda = 0, locus at xi = 0
-        s = ReducedState(xi=0.0, phi=1.0, dphi=0.0, f=0.0, df=0.0)
+        rhs = reduced_rhs(p)
         with pytest.raises(SingularLocus):
-            reduced_rhs(p, *fields(s))
+            rhs(0.0, [1.0, 0.0, 0.0, 0.0])
 
     def test_degenerate_phi_raises(self):
         p = make_problem(n=3, tau=1.0)
-        s = ReducedState(xi=1.0, phi=1e-14, dphi=0.0, f=0.0, df=0.0)
+        rhs = reduced_rhs(p)
         with pytest.raises(DegenerateConformalFactor):
-            reduced_rhs(p, *fields(s))
+            rhs(1.0, [1e-14, 0.0, 0.0, 0.0])
 
     def test_null_direction_rejected(self):
         # tau = 0 with lightlike alpha: Lambda = 0.
@@ -115,9 +116,8 @@ class TestReducedRhs:
         assert p.lambda_constant == 0.0
         with pytest.raises(NullTranslationDirection):
             check_null_direction(p)
-        s = ReducedState(xi=0.0, phi=1.0, dphi=0.1, f=0.0, df=0.0)
         with pytest.raises(NullTranslationDirection):
-            reduced_rhs(p, *fields(s))
+            reduced_rhs(p)  # when the closure is built, not when called
 
     def test_state_vector_round_trip(self):
         s = ReducedState(xi=1.5, phi=2.0, dphi=-0.5, f=0.3, df=0.7)
@@ -142,15 +142,15 @@ class TestSpecialBranch:
         p = make_problem(n=3, tau=0.0, alpha=[1.0, 0.0, 0.0])
         sp = SpecialParams(c1=-1.0, c2=0.0, h0=1.0)
         with pytest.raises(RequiresNonzeroTau):
-            special_rhs(p, sp, 0.0, 1.0)
+            special_rhs(p, sp)  # when the closure is built
 
     def test_nonpositive_h(self):
         p = make_problem(n=3, tau=1.0)
         sp = SpecialParams(c1=-1.0, c2=0.0, h0=1.0)
-        with pytest.raises(NonPositiveH):
-            special_rhs(p, sp, 1.0, -0.5)
-        with pytest.raises(NonPositiveH):
-            special_f_prime(sp, 3, 0.0)
+        rhs = special_rhs(p, sp)
+        for h in (-0.5, 0.0):
+            with pytest.raises(NonPositiveH):
+                rhs(1.0, [h, 0.0])
 
     def test_h0_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -160,9 +160,9 @@ class TestSpecialBranch:
         # n=2, c1=-1, c2=0, lam=0: h' = (0 + 0 + h^0)/(1) = 1, so h = 1+xi.
         entry = gallery("cigar")
         p, sp = entry.problem, entry.special
+        rhs = special_rhs(p, sp)
         for xi, h in [(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)]:
-            assert special_rhs(p, sp, xi, h) == pytest.approx(1.0)
-            assert special_f_prime(sp, 2, h) == pytest.approx(-1.0 / h)
+            assert rhs(xi, [h, 0.0]) == pytest.approx((1.0, -1.0 / h))
 
     def test_constraint_on_cigar_trajectory(self):
         # Along h = 1 + xi the reconstruction satisfies 4 phi'' + phi f'' = 0.
@@ -170,7 +170,7 @@ class TestSpecialBranch:
         p, sp = entry.problem, entry.special
         for xi in (0.0, 0.5, 2.0, 7.0):
             h = 1.0 + xi
-            ddphi, ddf = special_second_derivatives(p, sp, xi, h)
+            _, _, ddphi, _, ddf = special_jet(p, sp, xi, h)
             assert check_special_constraint([math.sqrt(h)], [ddphi], [ddf],
                                             2) < 1e-12
 
@@ -185,9 +185,9 @@ class TestSpecialBranch:
             sp = SpecialParams(c1=0.0, c2=c2, h0=b2 ** 2)
             for xi in (0.0, 1.0, 3.0):
                 h = (b1 * xi + b2) ** 2
-                assert special_rhs(p, sp, xi, h) == pytest.approx(
-                    2.0 * b1 * (b1 * xi + b2), abs=1e-12)
-                ddphi, ddf = special_second_derivatives(p, sp, xi, h)
+                assert special_rhs(p, sp)(xi, [h, 0.0])[0] == \
+                    pytest.approx(2.0 * b1 * (b1 * xi + b2), abs=1e-12)
+                _, _, ddphi, _, ddf = special_jet(p, sp, xi, h)
                 assert check_special_constraint([math.sqrt(h)], [ddphi],
                                                 [ddf], n) < 1e-11
 
@@ -201,11 +201,10 @@ class TestSpecialBranch:
         p = make_problem(n=n, tau=1.0, lam=0.5)
         sp = SpecialParams(c1=-0.8, c2=0.4, h0=1.3)
         xi, h = 1.0, 2.0
-        dh = special_rhs(p, sp, xi, h)
+        dh, df = special_rhs(p, sp)(xi, [h, 0.0])
         phi = math.sqrt(h)
         dphi = dh / (2.0 * phi)
-        df = special_f_prime(sp, n, h)
-        ddphi, ddf = special_second_derivatives(p, sp, xi, h)
+        _, _, ddphi, _, ddf = special_jet(p, sp, xi, h)
         big_t = 4.0 * p.ansatz.tau * xi + p.lambda_constant
         eq2 = (2.0 * p.ansatz.tau * phi * (2 * (n - 1) * dphi + phi * df)
                + (phi * ddphi - (n - 1) * dphi ** 2 - phi * dphi * df)
@@ -279,14 +278,12 @@ class TestGallery:
     def test_n2_polynomial_matches_special_branch(self):
         entry = gallery("n2_polynomial", c1=-0.5, c2=0.3, c3=1.2,
                         tau=1.0, lam=0.4)
-        p, sp = entry.problem, entry.special
+        rhs = special_rhs(entry.problem, entry.special)
         for xi in (0.0, 0.5, 2.0, 5.0):
             s = entry.profile.sample(xi)
             h = s.phi ** 2
             dh = 2.0 * s.phi * s.dphi
-            assert dh == pytest.approx(special_rhs(p, sp, xi, h), abs=1e-12)
-            assert s.df == pytest.approx(special_f_prime(sp, 2, h),
-                                         abs=1e-12)
+            assert (dh, s.df) == pytest.approx(rhs(xi, [h, 0.0]), abs=1e-12)
 
     def test_n2_polynomial_coefficients(self):
         # h = 2 c2 tau xi^2 + (c2 L + lam/(2 tau) - c1) xi + c3.
@@ -373,25 +370,23 @@ class TestArrayEvaluation:
             assert (s.phi, s.dphi, s.ddphi, s.f, s.df, s.ddf) == \
                 tuple(column)
 
-    # Array powers may round differently from the scalar pow() in the
-    # last bits; +, -, *, / are exact matches.
-    ULPS = 4 * np.finfo(float).eps
-
     def test_reduced_rhs_arrays_match_floats(self):
         p = make_problem(n=3, tau=0.7, alpha=[0.2, -0.1, 0.3], lam=-0.5)
         gen = np.random.Generator(np.random.Philox(key=4))
-        cols = [gen.uniform(0.5, 2.0, 50) for _ in range(5)]
-        out = np.array(reduced_rhs(p, *cols))
-        one = np.array([reduced_rhs(p, *(float(c[k]) for c in cols))
-                        for k in range(50)]).T
-        np.testing.assert_allclose(out, one, rtol=self.ULPS, atol=0.0)
+        xi, phi, dphi, f, df = (gen.uniform(0.5, 2.0, 50) for _ in range(5))
+        rhs = reduced_rhs(p)
+        one = np.array([rhs(x, [a, b, c, d]) for x, a, b, c, d in
+                        zip(xi.tolist(), phi.tolist(), dphi.tolist(),
+                            f.tolist(), df.tolist())]).T
+        assert np.array_equal(
+            reduced_second_derivatives(p, xi, phi, dphi, df), one[1::2])
 
     def test_reduced_rhs_arrays_nan_at_guards(self):
         p = make_problem(n=3, tau=1.0)  # Lambda = 0: locus at xi = 0
         xi = np.array([1.0, 0.0, 1.0])
         phi = np.array([1.0, 1.0, 1e-13])
         one = np.ones(3)
-        _, ddphi, _, ddf = reduced_rhs(p, xi, phi, one, one, one)
+        ddphi, ddf = reduced_second_derivatives(p, xi, phi, one, one)
         assert np.isfinite(ddphi[0]) and np.isfinite(ddf[0])
         assert np.all(np.isnan(ddphi[1:])) and np.all(np.isnan(ddf[1:]))
 
@@ -400,13 +395,93 @@ class TestArrayEvaluation:
         sp = SpecialParams(c1=-0.4, c2=0.2, h0=1.0)
         xis = np.linspace(0.0, 2.0, 9)
         hs = np.linspace(0.5, 3.0, 9)
-        arrays = np.array([special_rhs(p, sp, xis, hs),
-                           special_f_prime(sp, 4, hs),
-                           *special_second_derivatives(p, sp, xis, hs)])
-        floats = np.array([
-            [special_rhs(p, sp, xi, h), special_f_prime(sp, 4, h),
-             *special_second_derivatives(p, sp, xi, h)]
-            for xi, h in zip(xis.tolist(), hs.tolist())]).T
-        np.testing.assert_allclose(arrays, floats, rtol=self.ULPS, atol=0.0)
-        bad = special_rhs(p, sp, np.zeros(2), np.array([1.0, -1.0]))
-        assert np.isfinite(bad[0]) and np.isnan(bad[1])
+        arrays = np.array(special_jet(p, sp, xis, hs))
+        points = list(zip(xis.tolist(), hs.tolist()))
+        floats = np.array([special_jet(p, sp, xi, h) for xi, h in points]).T
+        assert np.array_equal(arrays, floats)
+        rhs = special_rhs(p, sp)
+        dh, df = np.array([rhs(xi, [h, 0.0]) for xi, h in points]).T
+        assert np.array_equal(arrays[1], dh / (2.0 * arrays[0]))
+        assert np.array_equal(arrays[3], df)
+        jet = np.array(special_jet(p, sp, np.zeros(2),
+                                   np.array([1.0, -1.0])))
+        assert np.isfinite(jet).all(axis=0).tolist() == [True, False]
+        assert np.isnan(jet[:, 1]).all()
+
+
+def random_problem(gen: np.random.Generator, n: int) -> SolitonProblem:
+    eps = [1.0] + gen.choice([-1.0, 1.0], n - 1).tolist()
+    return make_problem(tau=float(gen.uniform(0.5, 1.5)),
+                        alpha=gen.uniform(-1.0, 1.0, n),
+                        beta=gen.uniform(-1.0, 1.0, n),
+                        lam=float(gen.uniform(-3.0, 3.0)), eps=eps)
+
+
+class TestClosures:
+    """The integrator's float closures against the array paths that share
+    their expressions, guards included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_reduced_bit_identical(self, n):
+        gen = np.random.Generator(np.random.Philox(key=n))
+        p = random_problem(gen, n)
+        # numpy's vectorised dphi**2 and libm's pow differ on about 1 in
+        # 1000 inputs, so 4000 states catch an array path using `**`.
+        xi, dphi, f, df = (gen.uniform(-3.0, 3.0, 4000) for _ in range(4))
+        phi = gen.choice([-1.0, 1.0], 4000) * gen.uniform(0.1, 3.0, 4000)
+        rhs = reduced_rhs(p)
+        out = [rhs(x, [a, b, c, d]) for x, a, b, c, d in
+               zip(xi.tolist(), phi.tolist(), dphi.tolist(), f.tolist(),
+                   df.tolist())]
+        assert {type(v) for row in out for v in row} == {float}
+        one = np.array(out).T
+        assert np.array_equal(one[0::2], [dphi, df])
+        assert np.array_equal(
+            one[1::2], reduced_second_derivatives(p, xi, phi, dphi, df))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_special_bit_identical(self, n):
+        gen = np.random.Generator(np.random.Philox(key=10 + n))
+        p = random_problem(gen, n)
+        sp = SpecialParams(c1=float(gen.uniform(-2.0, 2.0)),
+                           c2=float(gen.uniform(-2.0, 2.0)), h0=1.0)
+        xi, h = gen.uniform(-3.0, 3.0, 400), gen.uniform(1e-3, 10.0, 400)
+        rhs = special_rhs(p, sp)
+        out = [rhs(x, [v, 0.0]) for x, v in zip(xi.tolist(), h.tolist())]
+        assert {type(v) for row in out for v in row} == {float}
+        slopes = _special_slopes(p, sp, np.float_power)
+        assert np.array_equal(np.array(out).T, slopes(xi, h))
+        # The profile's array path: the same h' and f', whence phi'.
+        phi, dphi, _, df, _ = special_jet(p, sp, xi, h)
+        assert np.array_equal(df, np.array(out)[:, 1])
+        assert np.array_equal(dphi, np.array(out)[:, 0] / (2.0 * phi))
+
+    def test_float_guards_raise_array_guards_nan(self):
+        p = make_problem(n=3, tau=1.0, alpha=[1.0, 0.0, 0.0])  # Lambda = 1
+        rhs = reduced_rhs(p)
+        with pytest.raises(DegenerateConformalFactor):
+            rhs(1.0, [-1e-12, 0.5, 0.0, 0.5])
+        with pytest.raises(SingularLocus):
+            rhs(-0.25, [1.0, 0.5, 0.0, 0.5])
+        ddphi, ddf = reduced_second_derivatives(
+            p, np.array([1.0, 1.0, -0.25]), np.array([1.0, -1e-12, 1.0]),
+            np.full(3, 0.5), np.full(3, 0.5))
+        assert np.isfinite([ddphi[0], ddf[0]]).all()
+        assert np.isnan([ddphi[1:], ddf[1:]]).all()
+        sp = SpecialParams(c1=-1.0, c2=0.5, h0=1.0)
+        with pytest.raises(NonPositiveH):
+            special_rhs(p, sp)(0.0, [-1e-300, 0.0])
+        jet = np.array(special_jet(p, sp, np.zeros(2),
+                                   np.array([1.0, 0.0])))
+        assert np.isfinite(jet[:, 0]).all() and np.isnan(jet[:, 1]).all()
+
+    def test_problem_errors_at_build_time(self):
+        null = make_problem(n=2, tau=0.0, alpha=[1.0, 1.0], eps=[1.0, -1.0])
+        with pytest.raises(NullTranslationDirection):
+            reduced_rhs(null)
+        with pytest.raises(NullTranslationDirection):
+            reduced_second_derivatives(null, 0.0, 1.0, 0.0, 0.0)
+        flat = make_problem(n=3, tau=0.0, alpha=[1.0, 0.0, 0.0])
+        sp = SpecialParams(c1=-1.0, c2=0.0, h0=1.0)
+        with pytest.raises(RequiresNonzeroTau):
+            special_rhs(flat, sp)
