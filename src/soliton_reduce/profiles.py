@@ -11,7 +11,7 @@ entries, numerically integrated solutions and CSV node data share this
 interface, so lifting to ambient jets and residual verification never care
 where a profile came from; callers evaluate whole batches of xi at once
 (sampling filters, lifted residual jets, the FD oracle's stencils, CSV
-rows).
+rows). Numeric profiles evaluate a :class:`PiecewisePoly`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,54 @@ class Termination:
     detail: dict = field(default_factory=dict)
 
 
+def _in_domain(xs, lo: float, hi: float) -> np.ndarray:
+    """`xs` as a float array, once every entry is inside [lo, hi]."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and not (lo <= xs.min() and xs.max() <= hi):
+        bad = xs[~((lo <= xs) & (xs <= hi))].flat[0]
+        raise OutOfDomain(f"xi = {bad} outside [{lo}, {hi}]")
+    return xs
+
+
+def power_sum(c, s, derivative: int = 0):
+    """d-th derivative of sum_k c[K-1-k] s^k (rows c: floats or arrays),
+    adding terms (c s^(k-d)) k!/(k-d)! to 0 by ascending k, s^j a running
+    product: scipy's PPoly order, so floats and arrays round alike."""
+    out, z = 0.0, 1.0
+    for k in range(derivative, len(c)):
+        out = out + c[-1 - k] * z * math.perm(k, derivative)
+        z = z * s
+    return out
+
+
+class PiecewisePoly:
+    """Piecewise polynomial over strictly increasing `breaks` (m + 1,):
+    piece i, on [breaks[i], breaks[i + 1]], has power-basis coefficients
+    `coeffs[:, i]` in s = x - origins[i], highest power first (scipy's
+    PPoly layout, shape (K, m, ...)). A break belongs to the piece on its
+    right, the last break to the last piece. A single point is one
+    constant piece between equal breaks."""
+
+    def __init__(self, breaks, coeffs, origins):
+        self.breaks, self.coeffs, self.origins = breaks, coeffs, origins
+
+    def evaluate(self, x, derivative: int = 0) -> np.ndarray:
+        """Shape x.shape + coeffs.shape[2:]; OutOfDomain off the breaks."""
+        x = _in_domain(x, self.breaks[0], self.breaks[-1])
+        i = np.searchsorted(self.breaks[1:-1], x, side="right")
+        c = self.coeffs.take(i, axis=1)
+        if derivative >= len(c):
+            return np.zeros(c.shape[1:])
+        s = x - self.origins.take(i)
+        return power_sum(c, s.reshape(s.shape + (1,) * (c.ndim - 1 - s.ndim)),
+                         derivative)
+
+    def pieces(self) -> list[tuple[float, float, float, np.ndarray]]:
+        """(left break, right break, origin, coeffs (K, ...)) per piece."""
+        return list(zip(self.breaks[:-1], self.breaks[1:], self.origins,
+                        np.moveaxis(self.coeffs, 1, 0)))
+
+
 class Profile:
     """Interface: profile data over a closed xi-interval.
 
@@ -74,17 +122,6 @@ class Profile:
         return ProfileSample(xi, *(float(v[0]) for v in
                                    self.evaluate(np.array([xi], dtype=float))))
 
-    def _check_domain(self, xis) -> np.ndarray:
-        """`xis` as a float array, once every entry is inside the domain."""
-        xis = np.asarray(xis, dtype=float)
-        inside = (self.xi_min <= xis) & (xis <= self.xi_max)
-        if not np.all(inside):
-            bad = xis[~inside].flat[0]
-            raise OutOfDomain(
-                f"xi = {bad} outside [{self.xi_min}, {self.xi_max}]"
-            )
-        return xis
-
 
 class ClosedFormProfile(Profile):
     """Profile defined by analytic callables for phi, f and derivatives.
@@ -107,7 +144,7 @@ class ClosedFormProfile(Profile):
         self.termination = Termination(kind="closed_form")
 
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
-        xis = self._check_domain(xis)
+        xis = _in_domain(xis, self.xi_min, self.xi_max)
         return tuple(np.full(xis.shape, fn(xis), dtype=float)
                      for fn in self._fns)
 

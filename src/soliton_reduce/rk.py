@@ -7,10 +7,12 @@ needed by the reduction pipeline:
 * FSAL ("first same as last"): an accepted step's last stage is f at its
   end state, so it serves as the next attempt's first stage and every
   attempt costs six RHS evaluations,
-* quartic dense output (Shampine's continuous extension),
+* quartic dense output (Shampine's continuous extension), emitted as a
+  ``PiecewisePoly`` in powers of t - t_i about each step's start t_i,
 * event functions, positive on the admissible side, located by bisection
-  on the dense output to 1e-12 in the independent variable; the emitted
-  stop state sits strictly on the admissible side,
+  on that same dense output to 1e-12 in the independent variable; the
+  emitted stop state is the dense output's value there and sits strictly
+  on the admissible side,
 * right-hand sides may raise :class:`DomainError`; the step is rejected
   and shrunk, and persistent failure terminates with a domain event at the
   last valid node,
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, EventAtStart, StepSizeUnderflow
-from .profiles import Termination
+from .profiles import PiecewisePoly, Termination, power_sum
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980), non-zero entries
 # only, stages numbered from 0: nodes c_i, coefficients a_ij, fifth-order
@@ -55,7 +57,8 @@ _B0, _B2, _B3, _B4, _B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
 _E0, _E2, _E3, _E4, _E5, _E6 = (-71 / 57600, 71 / 16695, -71 / 1920,
                                 17253 / 339200, -22 / 525, 1 / 40)
 # Quartic dense-output matrix from Shampine, "Some Practical Runge-Kutta
-# Formulas", Math. Comp. 46 (1986): q = K^T P for the stages K (7, ny).
+# Formulas", Math. Comp. 46 (1986): a step of length h from y0 with stages
+# K (7, ny) has the interpolant y0 + h * q @ (theta, .., theta^4), q = K^T P.
 _P = np.array([
     [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
      -12715105075 / 11282082432],
@@ -109,73 +112,40 @@ class IntegrationConfig:
             raise ValueError("max_step must be positive")
 
 
-def _interpolate(t0, h, y0, q, t):
-    """Quartic dense output y0 + h * q @ (theta, theta^2, theta^3, theta^4)
-    with theta = (t - t0) / h; every argument may carry leading batch axes
-    (one step's interpolant per query)."""
-    theta = np.asarray((t - t0) / h)
-    powers = theta[..., None] ** np.arange(1, 5)
-    return y0 + np.asarray(h)[..., None] * (q @ powers[..., None])[..., 0]
-
-
-def _dense_coefficients(stages: np.ndarray) -> np.ndarray:
-    """Quartic coefficients (..., ny, 4) of steps with stages (..., 7, ny)."""
-    return np.swapaxes(stages, -1, -2) @ _P
-
-
 @dataclass
 class RawSolution:
     """Node states plus dense output of one integration run.
 
-    Step i of the dense output starts at ``seg_t0[i]`` with signed length
-    ``seg_h[i]`` and state ``seg_y0[i]``; ``seg_q[i]`` (shape (ny, 4)) holds
-    its quartic coefficients. Steps are ordered along the integration
-    direction. ``n_fev`` counts every RHS call: the initial state, the
-    initial-step probe, and each stage of each attempt, the stages of one
-    cut short by a DomainError included.
+    ``ts`` and ``ys`` hold the nodes in the integration direction: the
+    start, the end of each accepted step, and an event's stop point.
+    ``n_fev`` counts every RHS call: the initial state, the initial-step
+    probe, and each stage of each attempt, the stages of one cut short by
+    a DomainError included.
     """
 
     ts: np.ndarray
     ys: np.ndarray
-    seg_t0: np.ndarray
-    seg_h: np.ndarray
-    seg_y0: np.ndarray
-    seg_q: np.ndarray
+    dense: PiecewisePoly
     termination: Termination
     n_accepted: int = 0
     n_rejected: int = 0
     n_fev: int = 0
 
-    @property
-    def t_start(self) -> float:
-        return float(self.ts[0])
 
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    def eval(self, t):
-        """State at t, a float (shape (ny,)) or an array (shape (m, ny)).
-
-        Each t is served by the first step whose end is at or past t in the
-        integration direction, the last step when none is.
-        """
-        t_arr = np.asarray(t, dtype=float)
-        lo = min(self.t_start, self.t_end)
-        hi = max(self.t_start, self.t_end)
-        if not np.all((lo <= t_arr) & (t_arr <= hi)):
-            raise ValueError(f"t = {t} outside integrated range [{lo}, {hi}]")
-        if self.seg_h.size == 0:
-            return np.broadcast_to(self.ys[0], t_arr.shape + self.ys[0].shape
-                                   ).copy()
-        t1 = self.seg_t0 + self.seg_h
-        if self.seg_h[0] < 0.0:  # ends decrease: search the negated ones
-            t1, t_key = -t1, -t_arr
-        else:
-            t_key = t_arr
-        i = np.minimum(np.searchsorted(t1, t_key), t1.size - 1)
-        return _interpolate(self.seg_t0[i], self.seg_h[i], self.seg_y0[i],
-                            self.seg_q[i], t_arr)
+def _dense_output(ts, ys, hs, stages) -> PiecewisePoly:
+    """Dense output over ts (m + 1,) of the steps from (ts[i], ys[i]) with
+    signed lengths hs, stages (m, 7, ny): y_i + h_i q_i @ (theta, ..,
+    theta^4) in powers of s = t - ts[i], coefficients q_ik h_i^(1-k)."""
+    if not len(hs):
+        return PiecewisePoly(np.repeat(ts, 2), ys[None, :1], ts)
+    r = slice(None, None, 1 if hs[0] > 0.0 else -1)  # pieces by increasing t
+    q = np.swapaxes(stages[r], 1, 2) @ _P
+    q *= np.asarray(hs)[r, None, None] ** -np.arange(4.0)
+    coeffs = np.concatenate((np.moveaxis(q[..., ::-1], -1, 0),
+                             ys[None, :len(hs)][:, r]))
+    breaks = np.ascontiguousarray(ts[r])
+    return PiecewisePoly(breaks, coeffs, breaks[:-1] if r.step > 0
+                         else breaks[1:])
 
 
 def _rms_norm(values) -> float:
@@ -245,14 +215,16 @@ def _attempt_step(f, t, y, k0, h, rtol, atol):
     return 6, y_new, math.sqrt(total / len(y)), (k0, k1, k2, k3, k4, k5, k6)
 
 
-def _bisect_event(g, step, t_lo: float, t_hi: float) -> float:
-    """Largest t (toward t_lo) with g > 0 on the interpolant of `step`
-    (t0, h, y0, q); bracket g(t_lo) > 0 >= g(t_hi)."""
+def _bisect_event(g, cols, t_lo: float, t_hi: float) -> float:
+    """Largest t (toward t_lo) with g > 0 on the dense-output piece from
+    t_lo (coefficients `cols` per component, evaluated in floats with the
+    bits of PiecewisePoly.evaluate); bracket g(t_lo) > 0 >= g(t_hi)."""
+    t0 = t_lo
     for _ in range(200):
         if abs(t_hi - t_lo) <= _EVENT_XTOL:
             break
         tm = 0.5 * (t_lo + t_hi)
-        if g(tm, _interpolate(*step, tm).tolist()) > 0.0:
+        if g(tm, [power_sum(c, tm - t0) for c in cols]) > 0.0:
             t_lo = tm
         else:
             t_hi = tm
@@ -284,7 +256,6 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
     # Nodes, and the signed length and seven stages of each accepted step.
     ts, ys = array("d", [t0]), array("d", y)
     hs, ks = array("d"), array("d")
-    event_q = None  # coefficients of the step an event stopped
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     span = abs(tf - t0)
     n_fev = 1 if cfg.first_step else 2  # the initial state, the probe
@@ -293,6 +264,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
     h = min(h, max_step, span)
     t = t0
     attempts = n_rejected = domain_failures = 0
+    dense = None
 
     while True:
         if (tf - t) * direction <= 1e-14 * max(1.0, abs(t)):
@@ -343,16 +315,24 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         fired = None
         for ev in cfg.events:
             if ev.g(t_new, y_new) <= 0.0:
-                if event_q is None:
-                    event_q = _dense_coefficients(np.array(stages))
-                    step = (t, h_signed, np.array(y), event_q)
-                t_stop = _bisect_event(ev.g, step, t, t_new)
+                if dense is None:  # the run's, this step included
+                    dense = _dense_output(
+                        np.append(ts, t_new), np.reshape(ys, (-1, ny)), hs,
+                        np.reshape(ks, (-1, 7, ny)))
+                    end = -1 if direction > 0.0 else 0
+                    cols = dense.coeffs[:, end].T.tolist()
+                t_stop = _bisect_event(ev.g, cols, t, t_new)
                 if fired is None or (t_stop - fired[1]) * direction < 0.0:
                     fired = (ev, t_stop)
         if fired is not None:
             ev, t_stop = fired
-            ts.append(t_stop)
-            ys.extend(_interpolate(*step, t_stop) if t_stop != t else y)
+            if t_stop == t:  # the locus lies within _EVENT_XTOL past t
+                del hs[-1], ks[-7 * ny:]
+                dense = None
+            else:
+                ts.append(t_stop)
+                ys.extend(power_sum(c, t_stop - t) for c in cols)
+                dense.breaks[end] = t_stop
             termination = Termination(kind="event", event=ev.name,
                                       xi_stop=t_stop)
             break
@@ -366,9 +346,8 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
 
     ts_arr = np.frombuffer(ts)
     ys_arr = np.frombuffer(ys).reshape(-1, ny)
-    q = _dense_coefficients(np.frombuffer(ks).reshape(-1, 7, ny))
-    if event_q is not None:
-        q[-1] = event_q  # the interpolant the stop state was taken from
-    return RawSolution(ts_arr, ys_arr, ts_arr[:-1], np.frombuffer(hs),
-                       ys_arr[:-1], q, termination, len(hs), n_rejected,
-                       n_fev)
+    if dense is None:
+        dense = _dense_output(ts_arr, ys_arr, hs,
+                              np.frombuffer(ks).reshape(-1, 7, ny))
+    return RawSolution(ts_arr, ys_arr, dense, termination, len(hs),
+                       n_rejected, n_fev)

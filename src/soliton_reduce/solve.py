@@ -1,10 +1,12 @@
 """Drivers tying the reduced systems to the integrator, plus profiles
 backed by numeric solutions and by CSV node data.
 
-Numeric profiles take second derivatives from the reduced equations,
-with the integrator's arithmetic, so along the dense output those
-equations hold to round-off by construction: the residuals of an
-in-memory numeric profile measure round-off, not integration error.
+Numeric profiles evaluate a PiecewisePoly: the integrator's dense output
+or the CSV nodes' spline. Integrated profiles take second derivatives
+from the reduced equations, with the integrator's arithmetic, so along
+the dense output those equations hold to round-off by construction: the
+residuals of an in-memory numeric profile measure round-off, not
+integration error.
 CSV-backed profiles differentiate not-a-knot cubic spline fits of the
 stored first-derivative columns instead (the equations under test would
 assume the conclusion); their residual floor is the spline
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ProfileMalformed
 from .geometry import TOL_PHI
-from .profiles import Profile
+from .profiles import PiecewisePoly, Profile
 from .reduction import (
     TOL_SING,
     ReducedState,
@@ -39,49 +41,39 @@ TOL_H = 1e-12
 DEFAULT_BLOWUP = 1e8
 
 
-class ReducedProfile(Profile):
-    """Numerically integrated solution of the full second-order system."""
+class _IntegratedProfile(Profile):
+    """Profile of one integration run."""
 
     def __init__(self, problem: SolitonProblem, sol: RawSolution):
         self.problem = problem
         self.solution = sol
-        self.xi_min, self.xi_max = sorted((sol.t_start, sol.t_end))
+        self.nodes, self.states, self.dense = sol.ts, sol.ys, sol.dense
+        self.xi_min, self.xi_max = sorted(sol.ts[[0, -1]].tolist())
         self.termination = sol.termination
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.solution.ts
 
-    @property
-    def states(self) -> np.ndarray:
-        return self.solution.ys
+class ReducedProfile(_IntegratedProfile):
+    """Numerically integrated solution of the full second-order system."""
 
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
-        xis = self._check_domain(xis)
-        phi, dphi, f, df = np.moveaxis(self.solution.eval(xis), -1, 0)
+        xis = np.asarray(xis, dtype=float)
+        phi, dphi, f, df = np.moveaxis(self.dense.evaluate(xis), -1, 0)
         ddphi, ddf = reduced_second_derivatives(self.problem, xis, phi,
                                                 dphi, df)
         return phi, dphi, ddphi, f, df, ddf
 
 
-class SpecialProfile(Profile):
+class SpecialProfile(_IntegratedProfile):
     """Numerically integrated solution of the constrained branch."""
 
     def __init__(self, problem: SolitonProblem, sp: SpecialParams,
                  sol: RawSolution):
-        self.problem = problem
+        super().__init__(problem, sol)
         self.special = sp
-        self.solution = sol
-        self.xi_min, self.xi_max = sorted((sol.t_start, sol.t_end))
-        self.termination = sol.termination
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.solution.ts
 
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
-        xis = self._check_domain(xis)
-        h, f = np.moveaxis(self.solution.eval(xis), -1, 0)
+        xis = np.asarray(xis, dtype=float)
+        h, f = np.moveaxis(self.dense.evaluate(xis), -1, 0)
         phi, dphi, ddphi, df, ddf = special_jet(self.problem, self.special,
                                                 xis, h)
         return phi, dphi, ddphi, f, df, ddf
@@ -144,11 +136,10 @@ def solve_special(p: SolitonProblem, sp: SpecialParams,
     return SpecialProfile(p, sp, sol)
 
 
-def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Power coefficients (4, n-1, m) of the not-a-knot cubic splines
-    through the columns of y (n, m) at strictly increasing nodes x
-    (n >= 4): one cubic per interval and column, highest power first, in
-    s = xi - x[interval].
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> PiecewisePoly:
+    """The not-a-knot cubic splines through the columns of y (n, m) at
+    strictly increasing nodes x (n >= 4): one cubic per interval and
+    column, in s = xi - x[interval].
 
     The node slopes solve a tridiagonal system. Interior rows make the
     second derivative continuous across each node; the end rows make the
@@ -189,7 +180,8 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Hermite form of each interval's cubic from its end values and slopes.
     h = h[:, None]
     t = (s[:-1] + s[1:] - 2 * slope) / h
-    return np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]))
+    return PiecewisePoly(x, np.stack((t / h, (slope - s[:-1]) / h - t,
+                                      s[:-1], y[:-1])), x[:-1])
 
 
 class NodeProfile(Profile):
@@ -219,22 +211,13 @@ class NodeProfile(Profile):
         cols = [c[order] for c in cols]
         if not all(np.all(np.isfinite(c)) for c in [xi, *cols]):
             raise ProfileMalformed("non-finite values in profile")
-        self._coeffs = _not_a_knot_spline(xi, np.stack(cols, axis=1))
+        self.dense = _not_a_knot_spline(xi, np.stack(cols, axis=1))
         self.nodes = xi
         self.xi_min, self.xi_max = float(xi[0]), float(xi[-1])
         self.termination = None
 
     def evaluate(self, xis) -> tuple[np.ndarray, ...]:
-        xis = self._check_domain(xis)
-        i = np.clip(np.searchsorted(self.nodes, xis, side="right") - 1,
-                    0, self.nodes.size - 2)
-        s = (xis - self.nodes[i])[..., None]
-        c0, c1, c2, c3 = self._coeffs[:, i]
-        s2 = s * s
-        # Ascending powers, summed left to right: the order fixes the
-        # rounding.
-        value = c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-        slope = c2 + c1 * s * 2 + c0 * s2 * 3
-        phi, dphi, f, df = np.moveaxis(value, -1, 0)
-        ddphi, ddf = np.moveaxis(slope[..., 1::2], -1, 0)
+        phi, dphi, f, df = np.moveaxis(self.dense.evaluate(xis), -1, 0)
+        ddphi, ddf = np.moveaxis(self.dense.evaluate(xis, 1)[..., 1::2],
+                                 -1, 0)
         return phi, dphi, ddphi, f, df, ddf

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import soliton_reduce
-from soliton_reduce import ScalarJet2, Signature
+from soliton_reduce import ScalarJet2, Signature, rk
 from soliton_reduce.ansatz import QuadricAnsatz
 
 
@@ -61,3 +61,28 @@ def random_ansatz(gen: np.random.Generator, sig: Signature,
 @pytest.fixture
 def gen() -> np.random.Generator:
     return rng(12345)
+
+
+@pytest.fixture
+def run_recorded(monkeypatch):
+    """run_recorded(run) -> (sol, steps): the RawSolution that `run()`
+    returns, and the accepted steps (t0, y0, h, stages) of the integration
+    it made, in order. A step is the last attempt made from its start
+    node."""
+    attempts = []
+    attempt = rk._attempt_step
+
+    def recording(f, t, y, k0, h, rtol, atol):
+        out = attempt(f, t, y, k0, h, rtol, atol)
+        attempts.append((t, list(y), h, out[3]))
+        return out
+
+    monkeypatch.setattr(rk, "_attempt_step", recording)
+
+    def run_recorded(run):
+        attempts.clear()
+        sol = run()
+        last = {a[0]: a for a in attempts}
+        return sol, [last[t] for t in sol.ts[:-1].tolist()]
+
+    return run_recorded

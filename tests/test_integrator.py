@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from soliton_reduce import Event, IntegrationConfig, integrate, rk
-from soliton_reduce.errors import DomainError, EventAtStart, StepSizeUnderflow
+from soliton_reduce.errors import (
+    DomainError,
+    EventAtStart,
+    OutOfDomain,
+    StepSizeUnderflow,
+)
 
 
 def exp_rhs(t, y):
@@ -68,59 +73,130 @@ class TestDenseOutput:
         sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
             xi_span=(0.0, 3.0), rel_tol=1e-10, abs_tol=1e-12))
         for t, y in zip(sol.ts, sol.ys):
-            assert np.allclose(sol.eval(float(t)), y, atol=1e-9)
+            assert np.allclose(sol.dense.evaluate(float(t)), y, atol=1e-9)
 
     def test_midpoints_accurate(self):
         sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
             xi_span=(0.0, 3.0), rel_tol=1e-10, abs_tol=1e-12))
         for t in np.linspace(0.05, 2.95, 37):
             exact = np.array([math.cos(t), math.sin(t)])
-            assert np.linalg.norm(sol.eval(float(t)) - exact) < 1e-8
+            assert np.linalg.norm(sol.dense.evaluate(float(t)) - exact) < 1e-8
 
     def test_out_of_range(self):
         sol = integrate(exp_rhs, [1.0],
                         IntegrationConfig(xi_span=(0.0, 1.0)))
-        with pytest.raises(ValueError):
-            sol.eval(2.0)
-        with pytest.raises(ValueError):
-            sol.eval(np.array([0.5, 2.0]))
+        with pytest.raises(OutOfDomain):
+            sol.dense.evaluate(2.0)
+        with pytest.raises(OutOfDomain):
+            sol.dense.evaluate(np.array([0.5, 2.0]))
+        with pytest.raises(OutOfDomain):
+            sol.dense.evaluate(math.nan)
 
     @staticmethod
-    def scan_eval(sol, t):
-        """Reference: linear scan for the first step whose end is at or
-        past t in the integration direction (else the last step), then
-        that step's quartic interpolant."""
-        direction = math.copysign(1.0, sol.seg_h[0])
-        last = sol.seg_h.size - 1
-        i = next((i for i in range(last + 1)
-                  if (t - (sol.seg_t0[i] + sol.seg_h[i])) * direction <= 0.0),
-                 last)
-        theta = (t - sol.seg_t0[i]) / sol.seg_h[i]
-        return sol.seg_y0[i] + sol.seg_h[i] * (
-            sol.seg_q[i] @ (theta ** np.arange(1, 5)))
+    def scan_eval(dense, t):
+        """Reference: linear scan for the first piece whose right break
+        is past t (else the last piece), then its powers of s = t - origin
+        summed in ascending order. Returns the value and the origin."""
+        pieces = dense.pieces()
+        _, _, x0, c = next((p for p in pieces if t < p[1]), pieces[-1])
+        s = t - x0
+        out, z = c[-1] * 1, s
+        for row in c[-2::-1]:
+            out = out + row * z
+            z = z * s
+        return out, x0
+
+    @staticmethod
+    def theta_eval(step, t):
+        """The step's quartic as Shampine writes it:
+        y0 + h * q @ (theta, .., theta^4), theta = (t - t0)/h, q = K^T P."""
+        t0, y0, h, stages = step
+        q = np.array(stages, dtype=float).T @ rk._P
+        theta = (t - t0) / h
+        return np.array(y0) + h * (q @ theta ** np.arange(1, 5))
 
     @pytest.mark.parametrize("span, events", [
         ((0.0, 3.0), ()),
         ((3.0, -1.0), ()),
         ((0.0, 6.0), (Event("x_zero", lambda t, y: y[0] + 0.5),)),
     ], ids=["increasing", "decreasing", "event"])
-    def test_batch_matches_linear_scan(self, span, events):
-        sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
-            xi_span=span, rel_tol=1e-8, abs_tol=1e-10, events=events))
+    def test_batch_matches_linear_scan(self, span, events, run_recorded):
+        sol, steps = run_recorded(lambda: integrate(
+            circle_rhs, [1.0, 0.0], IntegrationConfig(
+                xi_span=span, rel_tol=1e-8, abs_tol=1e-10, events=events)))
+        dense = sol.dense
+        assert np.all(np.diff(dense.breaks) > 0)
+        assert len(dense.pieces()) == sol.n_accepted == len(steps)
         if events:
             assert sol.termination.event == "x_zero"
             # The stopped run's last step reaches past its stop point.
-            last_end = sol.seg_t0[-1] + sol.seg_h[-1]
-            assert last_end > sol.t_end
-        lo, hi = sorted((sol.t_start, sol.t_end))
-        # Nodes (segment boundaries) and the span ends included.
+            t0, _, h, _ = steps[-1]
+            assert t0 + h > sol.ts[-1]
+        lo, hi = sorted(sol.ts[[0, -1]].tolist())
+        # Nodes (piece boundaries) and the span ends included.
         ts = np.concatenate([np.linspace(lo, hi, 301), sol.ts])
-        batch = sol.eval(ts)
+        batch = dense.evaluate(ts)
         assert batch.shape == (ts.size, 2)
+        # The step quartics in theta agree to 4 ulp of each component's
+        # largest node value.
+        ulps = 4 * np.spacing(np.max(np.abs(sol.ys), axis=0))
+        by_start = {step[0]: step for step in steps}
         for t, y in zip(ts, batch):
-            ref = self.scan_eval(sol, float(t))
+            ref, x0 = self.scan_eval(dense, float(t))
             assert np.array_equal(y, ref)
-            assert np.array_equal(sol.eval(float(t)), ref)
+            assert np.array_equal(dense.evaluate(float(t)), ref)
+            assert np.all(np.abs(y - self.theta_eval(by_start[x0], t))
+                          <= ulps)
+
+    def test_derivative_is_rhs_at_step_starts(self):
+        # On an increasing run each node but the last is served by the
+        # piece of the step starting there, whose slope is f at the node.
+        sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=(0.0, 3.0), rel_tol=1e-8, abs_tol=1e-10))
+        slopes = sol.dense.evaluate(sol.ts[:-1], 1)
+        assert np.array_equal(slopes, [circle_rhs(t, y) for t, y in
+                                       zip(sol.ts[:-1], sol.ys[:-1])])
+
+    @pytest.mark.parametrize("span", [(0.0, 3.0), (3.0, -1.0)],
+                             ids=["increasing", "decreasing"])
+    @pytest.mark.parametrize("derivative, atol", [(1, 1e-7), (2, 1e-5)])
+    def test_derivative_matches_central_differences(self, span, derivative,
+                                                    atol):
+        # At each piece's midpoint, central differences of derivative d - 1
+        # with step delta inside the piece converge to derivative d at
+        # order 2: halving delta quarters the error.
+        dense = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=span, rel_tol=1e-8, abs_tol=1e-10)).dense
+        mids = 0.5 * (dense.breaks[:-1] + dense.breaks[1:])
+        want = dense.evaluate(mids, derivative)
+        errs = []
+        for frac in (8.0, 16.0):
+            delta = np.diff(dense.breaks) / frac
+            got = (dense.evaluate(mids + delta, derivative - 1)
+                   - dense.evaluate(mids - delta, derivative - 1)
+                   ) / (2 * delta[:, None])
+            errs.append(np.max(np.abs(got - want)))
+        assert 1.9 <= math.log2(errs[0] / errs[1]) <= 2.1
+        # They are the circle's derivatives to the interpolant's accuracy.
+        angle = mids - span[0]
+        exact = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        rotated = exact @ np.linalg.matrix_power([[0.0, 1.0], [-1.0, 0.0]],
+                                                 derivative)
+        assert np.max(np.abs(want - rotated)) <= atol
+
+    def test_derivatives_past_degree(self):
+        # Quartic pieces: the third derivative's central differences are
+        # exact to round-off, and the fifth derivative vanishes.
+        dense = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=(0.0, 3.0), rel_tol=1e-8, abs_tol=1e-10)).dense
+        mids = 0.5 * (dense.breaks[:-1] + dense.breaks[1:])
+        delta = np.diff(dense.breaks) / 8.0
+        got = (dense.evaluate(mids + delta, 2)
+               - dense.evaluate(mids - delta, 2)) / (2 * delta[:, None])
+        assert np.allclose(got, dense.evaluate(mids, 3), rtol=0.0,
+                           atol=1e-11)
+        assert dense.evaluate(mids, 5).shape == (mids.size, 2)
+        assert not np.any(dense.evaluate(mids, 5))
 
 
 class TestEvents:
@@ -153,6 +229,38 @@ class TestEvents:
         assert sol.termination.event == "early"
         assert sol.termination.xi_stop == pytest.approx(1.0, abs=1e-9)
 
+    def test_locus_within_xtol_of_node(self):
+        # The locus lies 5e-13 past the node t = 1, inside the bisection
+        # tolerance: the run ends at that node and adds no zero-length
+        # step (it once emitted t = 1 twice and counted three steps).
+        ev = Event("g", lambda t, y: (1.0 + 5e-13) - t)
+        sol = integrate(lambda t, y: [-1.0], [3.0], IntegrationConfig(
+            xi_span=(0.0, 5.0), first_step=0.5, max_step=0.5, events=(ev,)))
+        assert sol.termination.event == "g"
+        assert sol.termination.xi_stop == sol.ts[-1] == 1.0
+        assert sol.ts.tolist() == [0.0, 0.5, 1.0]
+        assert sol.ys[:, 0].tolist() == [3.0, 2.5, 2.0]
+        assert sol.n_accepted == 2
+        assert sol.dense.breaks.tolist() == [0.0, 0.5, 1.0]
+        assert sol.dense.evaluate(1.0).tolist() == [2.0]
+
+    @pytest.mark.parametrize("span, locus", [((0.0, 6.0), 2 * math.pi / 3),
+                                             ((0.0, -6.0), -2 * math.pi / 3)],
+                             ids=["increasing", "decreasing"])
+    def test_stop_state_is_dense_value(self, span, locus):
+        # The stop state is the dense output's value at the stop point, bit
+        # for bit, and every event is still positive there.
+        events = (Event("x_half", lambda t, y: y[0] + 0.5),
+                  Event("far", lambda t, y: 10.0 - abs(t)))
+        sol = integrate(circle_rhs, [1.0, 0.0], IntegrationConfig(
+            xi_span=span, rel_tol=1e-9, abs_tol=1e-11, events=events))
+        t = sol.termination
+        assert t.event == "x_half"
+        assert t.xi_stop == sol.ts[-1] == pytest.approx(locus, abs=1e-8)
+        assert np.array_equal(sol.dense.evaluate(t.xi_stop), sol.ys[-1])
+        assert all(ev.g(t.xi_stop, sol.ys[-1].tolist()) > 0.0
+                   for ev in events)
+
     def test_domain_error_terminates_at_boundary(self):
         # RHS undefined for t > 2: repeated rejections end with a domain
         # event at the last reachable node.
@@ -167,6 +275,30 @@ class TestEvents:
         assert sol.termination.event == "domain_boundary"
         assert sol.termination.xi_stop == pytest.approx(2.0, abs=1e-6)
         assert sol.termination.xi_stop <= 2.0
+
+
+class TestZeroStepRuns:
+    @staticmethod
+    def wall(t, y):
+        if t > 0.0:
+            raise DomainError("wall")
+        return [1.0, -1.0]
+
+    @pytest.mark.parametrize("rhs, span, kind", [
+        (wall, (0.0, 1.0), "event"),
+        (lambda t, y: [1.0, -1.0], (0.0, 5e-15), "completed"),
+    ], ids=["domain_boundary_at_start", "span_below_resolution"])
+    def test_evaluates_at_single_node(self, rhs, span, kind):
+        sol = integrate(rhs, [2.0, -0.5], IntegrationConfig(xi_span=span))
+        assert sol.termination.kind == kind
+        assert sol.n_accepted == 0
+        assert sol.ts.tolist() == [0.0]
+        dense = sol.dense
+        assert dense.evaluate(0.0).tolist() == [2.0, -0.5]
+        assert dense.evaluate(np.zeros(3)).tolist() == [[2.0, -0.5]] * 3
+        assert dense.evaluate(0.0, 1).tolist() == [0.0, 0.0]
+        with pytest.raises(OutOfDomain):
+            dense.evaluate(1e-3)
 
 
 class TestDeterminism:
@@ -314,5 +446,5 @@ class TestStepBudget:
         assert t.kind == "step_budget"
         assert t.detail["attempts"] == rk.MAX_ATTEMPTS
         assert sol.n_accepted + sol.n_rejected == rk.MAX_ATTEMPTS
-        assert t.xi_stop == sol.t_end == pytest.approx(1e-4, rel=1e-6)
-        assert sol.ys[-1][0] == pytest.approx(math.exp(sol.t_end), rel=1e-12)
+        assert t.xi_stop == sol.ts[-1] == pytest.approx(1e-4, rel=1e-6)
+        assert sol.ys[-1][0] == pytest.approx(math.exp(sol.ts[-1]), rel=1e-12)

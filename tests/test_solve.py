@@ -111,6 +111,22 @@ class TestSolveReduced:
         with pytest.raises(EventAtStart):
             solve_reduced(p, ini, IntegrationConfig(xi_span=(0.0, 1.0)))
 
+    def test_stop_state_is_profile_value(self):
+        # Scan runs in both directions end by an event: the profile at the
+        # stop point returns the emitted stop state bit for bit, and every
+        # event is still positive there.
+        directions = set()
+        for j in range(len(SCAN_STEPS)):
+            p, ini, cfg = scan_problem(j)
+            prof = solve_reduced(p, ini, cfg)
+            xi_stop = prof.termination.xi_stop
+            directions.add(math.copysign(1.0, xi_stop - ini.xi))
+            phi, dphi, _, f, df, _ = prof.evaluate(xi_stop)
+            assert [phi, dphi, f, df] == prof.states[-1].tolist()
+            assert all(ev.g(xi_stop, prof.states[-1].tolist()) > 0.0
+                       for ev in cfg.events)
+        assert directions == {-1.0, 1.0}
+
 
 def scan_problem(j):
     """Reduced run j of a seeded scan aimed across the singular locus
@@ -166,7 +182,8 @@ class TestStepSequence:
         ).solution
         assert (sol.n_accepted, sol.n_rejected) == (steps, 0)
         xis = np.linspace(1.0, 8.0, 1001)
-        assert np.max(np.abs(sol.eval(xis)[:, 0] ** 2 - (1.0 + xis))) <= bound
+        phi = sol.dense.evaluate(xis)[:, 0]
+        assert np.max(np.abs(phi ** 2 - (1.0 + xis))) <= bound
 
     def test_special_cigar_accuracy(self):
         entry = gallery("cigar")
@@ -175,14 +192,32 @@ class TestStepSequence:
         assert (sol.n_accepted, sol.n_rejected) == (132, 0)
         assert np.max(np.abs(sol.ys[:, 0] - (1.0 + sol.ts))) <= 1e-14
 
-    def test_max_step_reaches_integrator(self):
+    def test_max_step_reaches_integrator(self, run_recorded):
         # The caller's config is passed through whole, events replaced.
         entry = gallery("cigar")
         cfg = IntegrationConfig(xi_span=(0.0, 8.0), first_step=0.01,
                                 max_step=0.25)
-        sol = solve_special(entry.problem, entry.special, cfg).solution
-        assert sol.seg_h[0] == 0.01
-        assert np.max(sol.seg_h) == 0.25
+        _, steps = run_recorded(lambda: solve_special(
+            entry.problem, entry.special, cfg).solution)
+        hs = [h for _, _, h, _ in steps]
+        assert hs[0] == 0.01
+        assert max(hs) == 0.25
+
+
+def test_zero_step_profile():
+    # A span below the step resolution takes no step; the profile then
+    # evaluates at its single node.
+    entry = gallery("cigar")
+    s1 = entry.profile.sample(1.0)
+    ini = ReducedState(xi=1.0, phi=s1.phi, dphi=s1.dphi, f=s1.f, df=s1.df)
+    prof = solve_reduced(entry.problem, ini, IntegrationConfig(
+        xi_span=(1.0, 1.0 + 5e-15)))
+    assert prof.solution.n_accepted == 0
+    assert prof.nodes.tolist() == [1.0]
+    s = prof.sample(1.0)
+    assert [s.phi, s.dphi, s.f, s.df] == [ini.phi, ini.dphi, ini.f, ini.df]
+    with pytest.raises(OutOfDomain):
+        prof.sample(1.0 + 5e-15)
 
 
 class TestSolveSpecial:
