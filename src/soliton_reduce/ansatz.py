@@ -82,7 +82,12 @@ def xi_values(a: QuadricAnsatz, xs: np.ndarray) -> np.ndarray:
 def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
     """Exact 2-jet of xi at a point x (n,) or at each point of x (..., n)."""
     x = np.asarray(x, dtype=float)
-    value = xi_values(a, x)
+    return xi_jet_at(a, x, xi_values(a, x))
+
+
+def xi_jet_at(a: QuadricAnsatz, x: np.ndarray, value) -> ScalarJet2:
+    """The 2-jet of xi at x (..., n) whose values `value` (...) are already
+    computed: the gradient and Hessian of the ansatz around them."""
     grad = 2.0 * a.tau * a.sig.eps * x + a.alpha
     hess = np.broadcast_to(np.diag(2.0 * a.tau * a.sig.eps),
                            x.shape + (a.n,))

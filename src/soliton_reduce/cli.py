@@ -363,14 +363,14 @@ def _csv_range(cfg: dict, prof: Profile) -> tuple[float, float]:
 def write_profile_csv(path: str | Path, cfg: dict, prof: Profile) -> None:
     lo, hi = _csv_range(cfg, prof)
     xis = np.linspace(lo, hi, int(cfg["output"]["points"]))
+    phi, dphi, _, f, df, _ = prof.evaluate(xis)
+    rows = np.column_stack((xis, phi, dphi, f, df)).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# soliton-reduce profile n={cfg['n']} "
                  f"mode={cfg['mode']}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        phi, dphi, _, f, df, _ = prof.evaluate(xis)
-        for row in zip(xis, phi, dphi, f, df):
-            writer.writerow([repr(float(v)) for v in row])
+        # csv.writer's default dialect: no field here needs quoting.
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _termination_dict(prof: Profile) -> dict:

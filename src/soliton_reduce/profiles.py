@@ -62,10 +62,12 @@ def _in_domain(xs, lo: float, hi: float) -> np.ndarray:
 def power_sum(c, s, derivative: int = 0):
     """d-th derivative of sum_k c[K-1-k] s^k (rows c: floats or arrays),
     adding terms (c s^(k-d)) k!/(k-d)! to 0 by ascending k, s^j a running
-    product: scipy's PPoly order, so floats and arrays round alike."""
+    product: scipy's PPoly order, so floats and arrays round alike. Values
+    (d = 0) skip the factor, which is then 1."""
     out, z = 0.0, 1.0
     for k in range(derivative, len(c)):
-        out = out + c[-1 - k] * z * math.perm(k, derivative)
+        term = c[-1 - k] * z
+        out = out + (term * math.perm(k, derivative) if derivative else term)
         z = z * s
     return out
 

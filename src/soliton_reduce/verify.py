@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, pde
-from .ansatz import xi_jet, xi_values
+from .ansatz import xi_jet, xi_jet_at, xi_values
 from .errors import OutOfDomain, SamplingExhausted, StencilOutOfDomain
-from .profiles import Profile, compose, lift
+from .geometry import ScalarJet2
+from .profiles import Profile, compose
 from .reduction import TOL_SING, SolitonProblem
 
 DEFAULT_THRESHOLD = 1e-8
@@ -29,6 +30,11 @@ ORACLE_STEP = 1e-4
 #: Coarsest step used for the convergence-rate measurement; finer steps sit
 #: on the round-off floor of the doubly nested differences.
 RATE_BASE_STEP = 1e-2
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +50,7 @@ class SampleSpec:
 
     def __post_init__(self):
         for name in ("count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.seed < 0:
@@ -142,40 +145,42 @@ def _evaluable_phi(prof: Profile, xis: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _accepted(p: SolitonProblem, prof: Profile, spec: SampleSpec,
-              xs: np.ndarray) -> np.ndarray:
-    """Mask of the points of xs that satisfy the domain and exclusions."""
+def _screen(p: SolitonProblem, prof: Profile, spec: SampleSpec,
+            xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The admissible rows of the candidate points xs (k, n), in order:
+    xi inside the profile's domain and clear of the singular locus, every
+    profile datum finite, |phi| at least the exclusion. Returned as the
+    points (m, n), xi there (m,) and the profile data at xi, rows (phi,
+    dphi, ddphi, f, df, ddf) of a (6, m) array, each computed once per
+    candidate."""
     xis = xi_values(p.ansatz, xs)
+    ok = (prof.xi_min <= xis) & (xis <= prof.xi_max)
     tau = p.ansatz.tau
     if tau != 0.0:
-        near = np.abs(4.0 * tau * xis + p.lambda_constant) \
-            < max(spec.exclusion_sing, TOL_SING)
-        xis = np.where(near, np.nan, xis)
-    return np.abs(_evaluable_phi(prof, xis)) \
-        >= max(spec.exclusion_phi, geometry.TOL_PHI)
+        ok &= np.abs(4.0 * tau * xis + p.lambda_constant) \
+            >= max(spec.exclusion_sing, TOL_SING)
+    data = np.stack(prof.evaluate(xis[ok]))
+    good = np.all(np.isfinite(data), axis=0) \
+        & (np.abs(data[0]) >= max(spec.exclusion_phi, geometry.TOL_PHI))
+    ok[ok] = good
+    return xs[ok], xis[ok], data[:, good]
 
 
-def draw_points(p: SolitonProblem, prof: Profile,
-                spec: SampleSpec) -> np.ndarray:
-    """Sample points satisfying the domain and exclusion constraints.
-
-    Grid mode keeps every admissible point of the full grid. Random draws
-    use the counter-based Philox generator keyed by the seed, in batches of
-    `count`, keeping admissible points in draw order; reports are
-    reproducible and independent of evaluation order.
-    """
+def _sample(p: SolitonProblem, prof: Profile,
+            spec: SampleSpec) -> tuple[np.ndarray, ...]:
+    """The accepted points of :func:`draw_points`, with xi and the profile
+    data there as `_screen` returns them."""
     if len(spec.box) != p.n:
         raise ValueError("box dimension differs from problem dimension")
     if spec.mode == "grid":
-        grid = _grid_points(spec)
-        pts = grid[_accepted(p, prof, spec, grid)]
-        if not len(pts):
+        sample = _screen(p, prof, spec, _grid_points(spec))
+        if not len(sample[0]):
             raise SamplingExhausted("no grid point satisfies the exclusions")
-        return pts
+        return sample
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     lo = np.array([b[0] for b in spec.box])
     hi = np.array([b[1] for b in spec.box])
-    accepted: list[np.ndarray] = []
+    batches: list[tuple[np.ndarray, ...]] = []
     n_accepted = 0
     max_draws = 200 * spec.count
     drawn = 0
@@ -184,25 +189,51 @@ def draw_points(p: SolitonProblem, prof: Profile,
             raise SamplingExhausted(
                 f"{n_accepted}/{spec.count} points after {drawn} draws"
             )
-        batch = rng.uniform(lo, hi, size=(spec.count, p.n))
-        drawn += spec.count
-        keep = batch[_accepted(p, prof, spec, batch)][:spec.count - n_accepted]
-        accepted.append(keep)
-        n_accepted += len(keep)
-    return np.concatenate(accepted)
+        short = spec.count - n_accepted
+        size = spec.count
+        if n_accepted:
+            # Enough draws to meet the shortfall at the acceptance seen so
+            # far with four binomial standard deviations (each at most
+            # sqrt(short)) to spare: one follow-up batch nearly always does.
+            size = min(size, math.ceil((short + 4.0 * math.sqrt(short))
+                                       * drawn / n_accepted))
+        size = min(size, max_draws - drawn)
+        xs, xis, data = _screen(p, prof, spec,
+                                rng.uniform(lo, hi, size=(size, p.n)))
+        drawn += size
+        batches.append((xs[:short], xis[:short], data[:, :short]))
+        n_accepted += len(batches[-1][0])
+    xs, xis, data = zip(*batches)
+    return (np.concatenate(xs), np.concatenate(xis),
+            np.concatenate(data, axis=1))
+
+
+def draw_points(p: SolitonProblem, prof: Profile,
+                spec: SampleSpec) -> np.ndarray:
+    """Sample points satisfying the domain and exclusion constraints.
+
+    Grid mode keeps every admissible point of the full grid. Random draws
+    use the counter-based Philox generator keyed by the seed and keep
+    admissible points in draw order. The first batch holds `count` draws;
+    each later one is sized from the shortfall and the acceptance seen so
+    far, capped at `count` and at the 200 * `count` draw budget. Philox is
+    one stream whatever the batch sizes, so the points are those that
+    batches of `count` would keep; reports are reproducible and
+    independent of evaluation order.
+    """
+    return _sample(p, prof, spec)[0]
 
 
 # ---------------------------------------------------------------------------
 # Residual evaluation
 # ---------------------------------------------------------------------------
 
-def residual_maxima(p: SolitonProblem, prof: Profile,
-                    xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-point max-abs residuals of all four families at ambient points
-    xs (m, n): off-diagonal and diagonal scalar equations, the trace
-    identity and the tensor equation. Also returns phi and phi'' there."""
-    xi = xi_jet(p.ansatz, xs)
-    data = prof.evaluate(xi.value)
+def _residuals(p: SolitonProblem, xi: ScalarJet2,
+               data) -> tuple[tuple[np.ndarray, ...], ScalarJet2]:
+    """Per-point max-abs residuals of the four families (off-diagonal and
+    diagonal scalar equations, trace identity, tensor equation) from the
+    jet of xi and the profile data (phi, dphi, ddphi, f, df, ddf) at its
+    value; also the jet of phi."""
     phi, f = compose(xi, data)
     sig, lam = p.sig, p.lam
     # Both (i, j) and (j, i): they add the cross terms in opposite order,
@@ -213,7 +244,18 @@ def residual_maxima(p: SolitonProblem, prof: Profile,
     trace = np.abs(pde.residual_trace(sig, phi, f, lam))
     tensor = np.max(np.abs(pde.residual_soliton_tensor(sig, phi, f, lam)),
                     axis=(-2, -1))
-    return off, diag, trace, tensor, data[0], data[2]
+    return (off, diag, trace, tensor), phi
+
+
+def residual_maxima(p: SolitonProblem, prof: Profile,
+                    xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-point max-abs residuals of all four families at ambient points
+    xs (m, n): off-diagonal and diagonal scalar equations, the trace
+    identity and the tensor equation. Also returns phi and phi'' there."""
+    xi = xi_jet(p.ansatz, xs)
+    data = prof.evaluate(xi.value)
+    maxima, _ = _residuals(p, xi, data)
+    return (*maxima, data[0], data[2])
 
 
 def residual_scale(lam: float, phi: np.ndarray, ddphi: np.ndarray) -> float:
@@ -225,10 +267,19 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
                    threshold: float = DEFAULT_THRESHOLD,
                    run_oracle: bool = True,
                    oracle_points: int = 3) -> ResidualReport:
-    """Evaluate every residual family over the sample; aggregate maxima."""
-    xs = draw_points(p, prof, spec)
-    off, diag, trace, tensor, phi, ddphi = residual_maxima(p, prof, xs)
-    scale = residual_scale(p.lam, phi, ddphi)
+    """Evaluate every residual family over the sample; aggregate maxima.
+
+    Each sample point is screened, evaluated and lifted once: the residuals
+    and the oracle's analytic side reuse what the sampling pass computed.
+    The oracle runs on the first `oracle_points` sample points.
+    """
+    _check_integer("oracle_points", oracle_points)
+    if oracle_points < 0:
+        raise ValueError(f"oracle_points must be >= 0, got {oracle_points}")
+    xs, xis, data = _sample(p, prof, spec)
+    (off, diag, trace, tensor), phi = _residuals(
+        p, xi_jet_at(p.ansatz, xs, xis), data)
+    scale = residual_scale(p.lam, data[0], data[2])
     maxima = {
         "max_offdiag": float(np.max(off)) / scale,
         "max_diag": float(np.max(diag)) / scale,
@@ -240,7 +291,7 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
 
     gap = None
     if run_oracle:
-        gap = _profile_oracle_gap(p, prof, xs[:oracle_points])
+        gap = _profile_oracle_gap(p, prof, xs[:oracle_points], phi)
 
     return ResidualReport(
         **maxima,
@@ -258,9 +309,11 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
     )
 
 
-def _profile_oracle_gap(p: SolitonProblem, prof: Profile,
-                        xs: np.ndarray) -> OracleGap | None:
-    """Compare the FD Ricci of gbar with the analytic conformal formula.
+def _profile_oracle_gap(p: SolitonProblem, prof: Profile, xs: np.ndarray,
+                        phi: ScalarJet2) -> OracleGap | None:
+    """Compare the FD Ricci of gbar at the points xs (k, n) with the
+    analytic conformal formula, applied to the first k rows of `phi`, the
+    jet of phi at the sample points that start with xs.
 
     Points whose stencil leaves the profile's domain, or meets a point
     where the profile is not evaluable, are skipped.
@@ -269,10 +322,10 @@ def _profile_oracle_gap(p: SolitonProblem, prof: Profile,
         return _evaluable_phi(prof, xi_values(p.ansatz, pts))
 
     ricci_fd, rates = fd_curvature_oracle(p.sig, phi_field, xs, ORACLE_STEP)
-    ok = ~np.isnan(rates)
-    if not np.any(ok):
+    ok = np.flatnonzero(~np.isnan(rates))
+    if not len(ok):
         return None
-    phi, _ = lift(p.ansatz, prof, xs[ok])
+    phi = ScalarJet2(phi.value[ok], phi.gradient[ok], phi.hessian[ok])
     gaps = np.max(np.abs(ricci_fd[ok] - geometry.conformal_ricci(p.sig, phi)),
                   axis=(-2, -1))
     worst = int(np.argmax(gaps))

@@ -211,6 +211,30 @@ class TestProfileCsv:
         assert (tmp_path / "profile.csv").read_bytes() == \
             ref.getvalue().encode()
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(mode="gallery:space_form", n=3, epsilon=[1, 1, 1], tau=1,
+             xi_span=[0.5, 4.0], sample={"box": [[-1.0, 1.0]] * 3}),
+    ], ids=["integrated", "gallery"])
+    def test_bytes_match_csv_writer(self, tmp_path, overrides):
+        # The rows are formatted in bulk; csv.writer over the same values
+        # must give the same bytes.
+        path = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["solve", str(path), "--out", str(tmp_path)]) == 0
+        cfg = cli.load_config(path)
+        _, prof, _ = cli._build_profile(cfg)
+        xis = np.linspace(*cli._csv_range(cfg, prof), 1500)
+        phi, dphi, _, f, df, _ = prof.evaluate(xis)
+        ref = io.StringIO(newline="")
+        ref.write(f"# soliton-reduce profile n={cfg['n']} "
+                  f"mode={cfg['mode']}\n")
+        writer = csv.writer(ref)
+        writer.writerow(cli.CSV_COLUMNS)
+        for row in zip(xis, phi, dphi, f, df):
+            writer.writerow([repr(float(v)) for v in row])
+        assert (tmp_path / "profile.csv").read_bytes() == \
+            ref.getvalue().encode()
+
 
 class TestTheorem3Mode:
     def test_cigar_constants(self, tmp_path):

@@ -22,12 +22,19 @@ from soliton_reduce import (
     IntegrationConfig,
     ReducedState,
     solve_reduced,
+    solve_special,
 )
-from soliton_reduce.ansatz import QuadricAnsatz, xi_jet
+from soliton_reduce.ansatz import QuadricAnsatz, xi_jet, xi_values
 from soliton_reduce.errors import SamplingExhausted, SolitonReduceError
-from soliton_reduce.geometry import ScalarJet2
+from soliton_reduce.geometry import TOL_PHI, ScalarJet2
+from soliton_reduce.profiles import Profile, lift
 from soliton_reduce.reduction import TOL_SING
-from soliton_reduce.verify import draw_points, residual_scale
+from soliton_reduce.verify import (
+    ORACLE_STEP,
+    draw_points,
+    residual_maxima,
+    residual_scale,
+)
 
 
 def cigar_spec(**kw):
@@ -210,6 +217,223 @@ class TestBatchSampling:
             if mode == "grid":
                 assert 0 < len(pts) < 6 ** 3
             assert np.array_equal(pts, pointwise_draw(p, prof, spec))
+
+
+def evaluable_phi(prof, xis):
+    """phi at each xi; NaN off the profile's domain and wherever any of its
+    data is not finite."""
+    phi = np.full(xis.shape, np.nan)
+    inside = (prof.xi_min <= xis) & (xis <= prof.xi_max)
+    data = np.stack(prof.evaluate(xis[inside]))
+    phi[inside] = np.where(np.all(np.isfinite(data), axis=0), data[0],
+                           np.nan)
+    return phi
+
+
+def batched_draw(p, prof, spec):
+    """Reference sampler: every random batch holds `count` draws and is
+    screened whole, the rows kept in draw order."""
+    def admissible(xs):
+        xis = xi_values(p.ansatz, xs)
+        tau = p.ansatz.tau
+        if tau != 0.0:
+            near = np.abs(4.0 * tau * xis + p.lambda_constant) \
+                < max(spec.exclusion_sing, TOL_SING)
+            xis = np.where(near, np.nan, xis)
+        return np.abs(evaluable_phi(prof, xis)) \
+            >= max(spec.exclusion_phi, TOL_PHI)
+
+    if spec.mode == "grid":
+        n = len(spec.box)
+        k = 2
+        while (k + 1) ** n <= spec.count:
+            k += 1
+        axes = np.meshgrid(*[np.linspace(lo, hi, k) for lo, hi in spec.box],
+                           indexing="ij")
+        grid = np.stack([a.ravel() for a in axes], axis=1)
+        return grid[admissible(grid)]
+    gen = np.random.Generator(np.random.Philox(key=spec.seed))
+    lo, hi = np.array(spec.box).T
+    kept, n_kept, drawn = [], 0, 0
+    while n_kept < spec.count:
+        if drawn >= 200 * spec.count:
+            raise SamplingExhausted(
+                f"{n_kept}/{spec.count} points after {drawn} draws")
+        batch = gen.uniform(lo, hi, size=(spec.count, p.n))
+        drawn += spec.count
+        kept.append(batch[admissible(batch)])
+        n_kept += len(kept[-1])
+    return np.concatenate(kept)[:spec.count]
+
+
+def composed_report(p, prof, spec, threshold, oracle_points=3):
+    """verify_profile's report from the public steps: draw_points, then
+    residual_maxima, then the oracle gap against lift's jet of phi."""
+    xs = draw_points(p, prof, spec)
+    off, diag, trace, tensor, phi, ddphi = residual_maxima(p, prof, xs)
+    scale = residual_scale(p.lam, phi, ddphi)
+    families = dict(offdiag=off, diag=diag, trace=trace, tensor=tensor)
+    report = {f"max_{k}": float(np.max(v)) / scale
+              for k, v in families.items()}
+    verdict = "pass" if all(v <= threshold for v in report.values()) \
+        else "fail"
+    pts = xs[:oracle_points]
+    ricci_fd, rates = fd_curvature_oracle(
+        p.sig, lambda x: evaluable_phi(prof, xi_values(p.ansatz, x)), pts,
+        ORACLE_STEP)
+    ok = ~np.isnan(rates)
+    gap = None
+    if np.any(ok):
+        jet, _ = lift(p.ansatz, prof, pts[ok])
+        gaps = np.max(np.abs(ricci_fd[ok] - conformal_ricci(p.sig, jet)),
+                      axis=(-2, -1))
+        worst = int(np.argmax(gaps))
+        gap = {"gap": float(gaps[worst]), "step": ORACLE_STEP,
+               "rate": float(rates[ok][worst])}
+    report.update(scale=scale, points_evaluated=len(xs),
+                  threshold=threshold, verdict=verdict, oracle_gap=gap)
+    report.update({f"mean_{k}": float(np.mean(v)) / scale
+                   for k, v in families.items()})
+    return report
+
+
+@pytest.fixture(scope="module")
+def integrated_cigar():
+    """The theorem-2 cigar integrated over xi in [1, 8]: xi >= 1 keeps
+    about 82% of the box [-2, 2]^2."""
+    entry = gallery("cigar")
+    s = entry.profile.sample(1.0)
+    return entry.problem, solve_reduced(
+        entry.problem, ReducedState(1.0, s.phi, s.dphi, s.f, s.df),
+        IntegrationConfig(xi_span=(1.0, 8.0), rel_tol=1e-12, abs_tol=1e-13))
+
+
+class CountingProfile(Profile):
+    """Forwards to a profile, recording the xi of every evaluate call."""
+
+    def __init__(self, inner: Profile):
+        self.inner, self.calls = inner, []
+        self.xi_min, self.xi_max = inner.xi_min, inner.xi_max
+        self.termination = inner.termination
+
+    def evaluate(self, xis):
+        self.calls.append(np.array(xis, dtype=float).ravel())
+        return self.inner.evaluate(xis)
+
+
+class TestSinglePass:
+    """verify_profile screens, evaluates and lifts each point once; what it
+    reports is what the public steps compose to."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_draw_matches_batched_reference(self, integrated_cigar, seed):
+        p, prof = integrated_cigar
+        spec = cigar_spec(count=1000, seed=seed)
+        assert np.array_equal(draw_points(p, prof, spec),
+                              batched_draw(p, prof, spec))
+
+    def test_low_acceptance_matches_batched_reference(self):
+        # |phi| >= 2.6 keeps about 5% of the box: about twenty batches.
+        entry = gallery("cigar")
+        spec = cigar_spec(count=200, seed=3, exclusion_phi=2.6)
+        pts = draw_points(entry.problem, entry.profile, spec)
+        assert len(pts) == 200
+        assert np.array_equal(pts, batched_draw(entry.problem, entry.profile,
+                                                spec))
+
+    def test_grid_matches_batched_reference(self, integrated_cigar):
+        p, prof = integrated_cigar
+        spec = cigar_spec(mode="grid", count=1000)
+        pts = draw_points(p, prof, spec)
+        assert 0 < len(pts) < 31 ** 2
+        assert np.array_equal(pts, batched_draw(p, prof, spec))
+
+    def test_exhaustion_after_the_full_budget(self):
+        # |phi| >= 2.95 keeps about one draw in a thousand.
+        entry = gallery("cigar")
+        spec = cigar_spec(count=10, seed=0, exclusion_phi=2.95)
+        with pytest.raises(SamplingExhausted) as ref:
+            batched_draw(entry.problem, entry.profile, spec)
+        with pytest.raises(SamplingExhausted, match="after 2000 draws") \
+                as got:
+            draw_points(entry.problem, entry.profile, spec)
+        assert str(got.value) == str(ref.value)
+
+    def test_budget_holds_when_acceptance_falls(self):
+        # 9 of the first 10 draws pass, none after: follow-up batches of 6,
+        # 9, then 10 draws, the last cut to end at exactly 200 * count.
+        class FirstCallOnly(CountingProfile):
+            def evaluate(self, xis):
+                data = super().evaluate(xis)
+                if len(self.calls) == 1:
+                    return data
+                return tuple(np.full(np.shape(xis), np.nan) for _ in data)
+
+        entry = gallery("cigar")
+        spec = cigar_spec(count=10, seed=4, exclusion_phi=1.2)
+        prof = FirstCallOnly(entry.profile)
+        with pytest.raises(SamplingExhausted,
+                           match=r"^9/10 points after 2000 draws$"):
+            draw_points(entry.problem, prof, spec)
+        assert [c.size for c in prof.calls[:3]] == [10, 6, 9]
+        assert sum(c.size for c in prof.calls) == 2000
+
+    @pytest.mark.parametrize("kind", ["reduced", "special", "node",
+                                      "lorentz4"])
+    def test_report_equals_composed_steps(self, integrated_cigar, kind):
+        if kind == "reduced":
+            (p, prof), spec = integrated_cigar, cigar_spec(count=1000, seed=1)
+        elif kind == "lorentz4":
+            entry = gallery("space_form", n=4, eps=[1, -1, 1, 1])
+            p, prof = entry.problem, entry.profile
+            spec = SampleSpec(box=[(-2.0, 2.0)] * 4, count=1000, seed=2,
+                              exclusion_phi=1e-2)
+        else:
+            entry = gallery("cigar")
+            p, spec = entry.problem, cigar_spec(count=500, seed=4)
+            prof = solve_special(p, entry.special, IntegrationConfig(
+                xi_span=(0.0, 9.0), rel_tol=1e-12, abs_tol=1e-13))
+            if kind == "node":
+                xis = np.linspace(0.0, 8.0, 801)
+                phi, dphi, _, f, df, _ = prof.evaluate(xis)
+                prof = NodeProfile(xis, phi, dphi, f, df)
+        report = verify_profile(p, prof, spec, threshold=1e-9).to_dict()
+        assert report["oracle_gap"] is not None
+        assert report == composed_report(p, prof, spec, 1e-9)
+
+    def test_evaluation_budget(self, integrated_cigar):
+        p, prof = integrated_cigar
+        counting = CountingProfile(prof)
+        spec = cigar_spec(count=1000, seed=1)
+        assert verify_profile(p, counting, spec, threshold=1e-9).passed
+        # Two screening batches, then the oracle's stencils: 3 points, 4
+        # steps, (2n + 1)^2 nested points each.
+        *screened, stencils = counting.calls
+        assert len(screened) == 2
+        assert stencils.size == 3 * 4 * 5 ** 2
+        assert sum(c.size for c in counting.calls) <= 1400
+        # Outside the stencils each residual point's xi is evaluated once.
+        values, times = np.unique(np.concatenate(screened),
+                                  return_counts=True)
+        assert np.all(times == 1)
+        xis = xi_values(p.ansatz, draw_points(p, prof, spec))
+        assert np.all(np.isin(xis, values))
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True])
+    def test_oracle_points_rejected(self, bad):
+        entry = gallery("cigar")
+        with pytest.raises(ValueError, match="oracle_points"):
+            verify_profile(entry.problem, entry.profile, cigar_spec(count=20),
+                           oracle_points=bad)
+
+    def test_oracle_points_zero_and_numpy_integer(self):
+        entry = gallery("cigar")
+        spec = cigar_spec(count=20)
+        assert verify_profile(entry.problem, entry.profile, spec,
+                              oracle_points=0).oracle_gap is None
+        assert verify_profile(entry.problem, entry.profile, spec,
+                              oracle_points=np.int64(3)).to_dict() \
+            == verify_profile(entry.problem, entry.profile, spec).to_dict()
 
 
 class TestVerifyProfile:
