@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAnsatz, DegenerateSamplePoint
-from .geometry import ScalarJet2, Signature
+from .geometry import ScalarJet2, Signature, _sum_last
 
 #: Denominators smaller than this flag a sample point as unusable.
 TOL_DENOM = 1e-12
@@ -75,8 +75,7 @@ def xi_values(a: QuadricAnsatz, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.shape[-1:] != (a.n,):
         raise ValueError("point dimension mismatch")
-    return np.sum(a.tau * a.sig.eps * xs ** 2 + a.alpha * xs + a.beta,
-                  axis=-1)
+    return _sum_last(a.tau * a.sig.eps * xs ** 2 + a.alpha * xs + a.beta)
 
 
 def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
@@ -87,11 +86,13 @@ def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
 
 def xi_jet_at(a: QuadricAnsatz, x: np.ndarray, value) -> ScalarJet2:
     """The 2-jet of xi at x (..., n) whose values `value` (...) are already
-    computed: the gradient and Hessian of the ansatz around them."""
+    computed: the gradient and Hessian of the ansatz around them. The
+    Hessian, diagonal and the same at every point, is a read-only
+    broadcast view."""
     grad = 2.0 * a.tau * a.sig.eps * x + a.alpha
     hess = np.broadcast_to(np.diag(2.0 * a.tau * a.sig.eps),
                            x.shape + (a.n,))
-    return ScalarJet2(value, grad, hess)
+    return ScalarJet2._symmetric(value, grad, hess)
 
 
 def lambda_constant(a: QuadricAnsatz) -> float:

@@ -60,6 +60,12 @@ class ScalarJet2:
     (..., n, n); at a single point the value is a float. The Hessian is
     symmetrized on construction so downstream tensor symmetry is exact,
     not approximate.
+
+    The builders whose Hessians are symmetric by construction, the chain
+    rule of :func:`soliton_reduce.profiles.compose` and the quadric's
+    :func:`soliton_reduce.ansatz.xi_jet_at`, skip that step through
+    :meth:`_symmetric`: for an exactly symmetric H, 0.5 * (H + H^T)
+    returns H bit for bit, so skipping it changes nothing.
     """
 
     value: float | np.ndarray
@@ -80,6 +86,19 @@ class ScalarJet2:
         object.__setattr__(self, "hessian",
                            0.5 * (hess + np.swapaxes(hess, -1, -2)))
 
+    @classmethod
+    def _symmetric(cls, value, gradient: np.ndarray,
+                   hessian: np.ndarray) -> "ScalarJet2":
+        """A jet of arrays whose shapes already match and whose Hessian is
+        exactly symmetric, kept as given."""
+        jet = object.__new__(cls)
+        value = np.asarray(value, dtype=float)
+        object.__setattr__(jet, "value",
+                           float(value) if value.ndim == 0 else value)
+        object.__setattr__(jet, "gradient", gradient)
+        object.__setattr__(jet, "hessian", hessian)
+        return jet
+
     @property
     def n(self) -> int:
         return self.gradient.shape[-1]
@@ -97,6 +116,26 @@ def _col(value, k: int = 1) -> np.ndarray:
 
 def _diag(m: np.ndarray) -> np.ndarray:
     return np.diagonal(m, axis1=-2, axis2=-1)
+
+
+def _sum_last(a: np.ndarray):
+    """Sum over the last axis, added left to right from 0.0. Below 8 terms
+    that is numpy's own order, so the bits equal np.sum's (numpy adds 8 or
+    more pairwise). numpy's reduction over a short axis pays its per-row
+    overhead once per row; these column adds pay once per column."""
+    out = 0.0
+    for k in range(a.shape[-1]):
+        out = out + a[..., k]
+    return out
+
+
+def _max_last(a: np.ndarray):
+    """Max over the last axis through np.maximum, which propagates NaN as
+    np.max does; cheap for a short axis, as :func:`_sum_last`."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = np.maximum(out, a[..., k])
+    return out
 
 
 def _check_phi(phi: ScalarJet2) -> None:
@@ -135,10 +174,12 @@ def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
     _check_phi(phi)
     eps = sig.eps
     n = sig.n
-    lap = np.sum(eps * _diag(phi.hessian), axis=-1)
-    grad2 = np.sum(eps * phi.gradient ** 2, axis=-1)
-    out = ((n - 2) * _col(phi.value, 2) * phi.hessian
-           + _col(phi.value * lap - (n - 1) * grad2, 2) * np.diag(eps))
+    lap = _sum_last(eps * _diag(phi.hessian))
+    grad2 = _sum_last(eps * phi.gradient ** 2)
+    out = (n - 2) * _col(phi.value, 2) * phi.hessian
+    # The g term is diagonal: off the diagonal it would only add +-0.
+    idx = np.arange(n)
+    out[..., idx, idx] += _col(phi.value * lap - (n - 1) * grad2) * eps
     return out / _col(np.square(phi.value), 2)
 
 
@@ -151,7 +192,7 @@ def conformal_hessian(sig: Signature, phi: ScalarJet2,
     v = _col(phi.value)
     cross = np.einsum("...i,...j->...ij", gp, gf)
     out = f.hessian + (cross + np.swapaxes(cross, -1, -2)) / v[..., None]
-    mixed = np.sum(eps * gp * gf, axis=-1)
+    mixed = _sum_last(eps * gp * gf)
     # Diagonal: f_,ii + 2 phi_,i f_,i / phi - eps_i * sum_k eps_k phi_,k f_,k / phi
     idx = np.arange(sig.n)
     out[..., idx, idx] = (_diag(f.hessian) + 2.0 * gp * gf / v
@@ -167,8 +208,9 @@ def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float | np.ndarray:
     _check_phi(phi)
     eps = sig.eps
     n = sig.n
-    return np.sum(eps * (2.0 * (n - 1) * _col(phi.value) * _diag(phi.hessian)
-                         - n * (n - 1) * phi.gradient ** 2), axis=-1)
+    return _sum_last(eps * (2.0 * (n - 1) * _col(phi.value)
+                            * _diag(phi.hessian)
+                            - n * (n - 1) * phi.gradient ** 2))
 
 
 def laplacian(sig: Signature, phi: ScalarJet2,
@@ -181,5 +223,5 @@ def laplacian(sig: Signature, phi: ScalarJet2,
     eps = sig.eps
     n = sig.n
     v = _col(phi.value)
-    return np.sum(eps * (np.square(v) * _diag(f.hessian)
-                         - (n - 2) * v * phi.gradient * f.gradient), axis=-1)
+    return _sum_last(eps * (np.square(v) * _diag(f.hessian)
+                            - (n - 2) * v * phi.gradient * f.gradient))

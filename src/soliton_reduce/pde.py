@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .geometry import ScalarJet2, Signature, _col, _diag
+from .geometry import ScalarJet2, Signature, _col, _diag, _sum_last
 
 
 def residual_offdiag(sig: Signature, phi: ScalarJet2,
@@ -45,8 +45,8 @@ def residual_diag(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
     n = sig.n
     v = _col(phi.value)
     gp, gf = phi.gradient, f.gradient
-    common = np.sum(eps * (v * _diag(phi.hessian) - (n - 1) * gp ** 2
-                           - v * gp * gf), axis=-1)
+    common = _sum_last(eps * (v * _diag(phi.hessian) - (n - 1) * gp ** 2
+                              - v * gp * gf))
     own = v * ((n - 2) * _diag(phi.hessian) + v * _diag(f.hessian)
                + 2.0 * gp * gf)
     return own + eps * (_col(common) - lam)
@@ -63,10 +63,10 @@ def residual_trace(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
     n = sig.n
     v = _col(phi.value)
     gp, gf = phi.gradient, f.gradient
-    total = np.sum(eps * (2.0 * (n - 1) * v * _diag(phi.hessian)
-                          - n * (n - 1) * gp ** 2
-                          + np.square(v) * _diag(f.hessian)
-                          - (n - 2) * v * gp * gf), axis=-1)
+    total = _sum_last(eps * (2.0 * (n - 1) * v * _diag(phi.hessian)
+                             - n * (n - 1) * gp ** 2
+                             + np.square(v) * _diag(f.hessian)
+                             - (n - 2) * v * gp * gf))
     return total - n * lam
 
 
@@ -74,9 +74,12 @@ def residual_soliton_tensor(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
                             lam: float) -> np.ndarray:
     """Ric_gbar + Hess_gbar(f) - lambda * gbar via the geometric route,
     (..., n, n)."""
-    ric = geometry.conformal_ricci(sig, phi)
-    hess = geometry.conformal_hessian(sig, phi, f)
-    return ric + hess - lam * np.diag(sig.eps) / _col(np.square(phi.value), 2)
+    out = geometry.conformal_ricci(sig, phi) \
+        + geometry.conformal_hessian(sig, phi, f)
+    # lambda * gbar is diagonal: off the diagonal it would only add +-0.
+    idx = np.arange(sig.n)
+    out[..., idx, idx] -= lam * sig.eps / _col(np.square(phi.value))
+    return out
 
 
 def tensor_to_scalar_factor(phi_value: float, diagonal: bool) -> float:

@@ -169,12 +169,13 @@ def compose(xi: ScalarJet2, data) -> tuple[ScalarJet2, ScalarJet2]:
     the analogous formulas for f.
     """
     u = xi.gradient
-    uu = u[..., :, None] * u[..., None, :]
+    uu = np.einsum("...i,...j->...ij", u, u)
 
     def jet(value, d1, d2):
+        # u_i u_j = u_j u_i and Hess xi is symmetric, so the Hessian is too.
         d1 = d1[..., None]
-        return ScalarJet2(value, d1 * u,
-                          d2[..., None, None] * uu + d1[..., None] * xi.hessian)
+        return ScalarJet2._symmetric(value, d1 * u, d2[..., None, None] * uu
+                                     + d1[..., None] * xi.hessian)
 
     phi, dphi, ddphi, f, df, ddf = data
     return jet(phi, dphi, ddphi), jet(f, df, ddf)

@@ -2,8 +2,9 @@
 
 Lifts a profile to ambient points, evaluates every residual family, runs a
 finite-difference curvature oracle that shares no code with the analytic
-conformal formulas (general-metric Christoffel assembly from pointwise
-metric samples), and aggregates everything into a machine-readable report.
+conformal formulas (Christoffel and Ricci assembly from pointwise samples
+of the diagonal metric), and aggregates everything into a machine-readable
+report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import geometry, pde
 from .ansatz import xi_jet, xi_jet_at, xi_values
 from .errors import OutOfDomain, SamplingExhausted, StencilOutOfDomain
-from .geometry import ScalarJet2
+from .geometry import ScalarJet2, _max_last
 from .profiles import Profile, compose
 from .reduction import TOL_SING, SolitonProblem
 
@@ -68,7 +69,9 @@ class SampleSpec:
 
 @dataclass(frozen=True)
 class OracleGap:
-    """FD-vs-analytic curvature discrepancy at its step, with rate."""
+    """FD-vs-analytic curvature discrepancy at its step, with rate: inf
+    when the oracle's differences vanish (an exact oracle), which the
+    report writes as null."""
 
     gap: float
     step: float
@@ -105,7 +108,8 @@ class ResidualReport:
             "oracle_gap": None if self.oracle_gap is None else {
                 "gap": self.oracle_gap.gap,
                 "step": self.oracle_gap.step,
-                "rate": self.oracle_gap.rate,
+                "rate": self.oracle_gap.rate
+                if math.isfinite(self.oracle_gap.rate) else None,
             },
         }
         d.update(self.extras)
@@ -113,7 +117,7 @@ class ResidualReport:
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+        return json.dumps(self.to_dict(), allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +242,12 @@ def _residuals(p: SolitonProblem, xi: ScalarJet2,
     sig, lam = p.sig, p.lam
     # Both (i, j) and (j, i): they add the cross terms in opposite order,
     # so they can differ in the last bit.
-    off = np.max(np.abs(pde.residual_offdiag(sig, phi, f)
-                        [..., ~np.eye(p.n, dtype=bool)]), axis=-1)
-    diag = np.max(np.abs(pde.residual_diag(sig, phi, f, lam)), axis=-1)
+    off = _max_last(np.abs(pde.residual_offdiag(sig, phi, f)
+                           [..., ~np.eye(p.n, dtype=bool)]))
+    diag = _max_last(np.abs(pde.residual_diag(sig, phi, f, lam)))
     trace = np.abs(pde.residual_trace(sig, phi, f, lam))
-    tensor = np.max(np.abs(pde.residual_soliton_tensor(sig, phi, f, lam)),
-                    axis=(-2, -1))
+    tensor = np.abs(pde.residual_soliton_tensor(sig, phi, f, lam))
+    tensor = _max_last(tensor.reshape(tensor.shape[:-2] + (-1,)))
     return (off, diag, trace, tensor), phi
 
 
@@ -376,17 +380,25 @@ def _field_at(field, pts: np.ndarray) -> np.ndarray:
 
 def _christoffel(sig, phi: np.ndarray, step) -> np.ndarray:
     """Gamma[..., k, i, j] of gbar = g / phi^2 from phi on a stencil
-    (..., 2n+1), through the metric samples and the general formula."""
+    (..., 2n+1), through the samples g_kk of the diagonal metric and the
+    general formula, which for a diagonal metric reads
+
+        Gamma^k_ij = 1/2 g^kk (d_i g_jk + d_j g_ik - d_k g_ij),
+
+    g^kk = 1 / g_kk. It is non-zero only where i = j or k is i or j:
+    1/2 g^kk d_j g_kk at (k, k, j) and (k, j, k), -1/2 g^kk d_k g_ii at
+    (k, i, i) for i != k."""
     n = sig.n
-    g = np.diag(sig.eps) / phi[..., None, None] ** 2
-    dg = _central(g, step, 2)
-    ginv = np.linalg.inv(g[..., 0, :, :])
-    # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    acc = 0.0
-    for l in range(n):
-        acc = acc + ginv[..., :, l, None, None] * t[..., None, :, :, l]
-    return 0.5 * acc
+    g = sig.eps / phi[..., None] ** 2
+    dg = _central(g, step, 1)  # dg[..., l, k] = d_l g_kk
+    ginv = 1.0 / g[..., 0, :, None]
+    own = 0.5 * (ginv * np.swapaxes(dg, -1, -2))  # own[..., k, j]
+    idx = np.arange(n)
+    gamma = np.zeros(g.shape[:-2] + (n, n, n))
+    gamma[..., :, idx, idx] = 0.5 * (ginv * -dg)
+    gamma[..., idx, idx, :] = own
+    np.swapaxes(gamma, -1, -2)[..., idx, idx, :] = own
+    return gamma
 
 
 def _ricci(sig, phi: np.ndarray, step) -> np.ndarray:
@@ -416,10 +428,13 @@ def fd_curvature_oracle(sig, phi_field, x: np.ndarray,
     and Ricci assembly in one pass. A point whose stencil holds a
     non-finite phi gets a NaN tensor and rate.
 
-    The assembly uses only pointwise metric samples and the general-metric
-    Christoffel/Ricci formulas; it shares no code path with the conformal
+    The assembly uses only pointwise samples g_kk = eps_k / phi^2 of the
+    diagonal metric, the Christoffel formula of a diagonal metric and the
+    general Ricci formula; it shares no code path with the conformal
     shortcut it certifies. The rate is measured at a coarser base step
-    where truncation still dominates round-off.
+    where truncation still dominates round-off; it is inf where the
+    differences between the Ricci tensors of successive steps vanish,
+    as for a constant phi.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)

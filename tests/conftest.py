@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import soliton_reduce
-from soliton_reduce import ScalarJet2, Signature, rk
+from soliton_reduce import (
+    IntegrationConfig,
+    ReducedState,
+    ScalarJet2,
+    Signature,
+    gallery,
+    rk,
+    solve_reduced,
+)
 from soliton_reduce.ansatz import QuadricAnsatz
 
 
@@ -56,6 +64,17 @@ def random_ansatz(gen: np.random.Generator, sig: Signature,
         alpha = gen.uniform(-1.0, 1.0, n)
     beta = gen.uniform(-1.0, 1.0, n)
     return QuadricAnsatz(tau, alpha, beta, sig)
+
+
+@pytest.fixture(scope="module")
+def integrated_cigar():
+    """The theorem-2 cigar integrated over xi in [1, 8]: xi >= 1 keeps
+    about 82% of the box [-2, 2]^2."""
+    entry = gallery("cigar")
+    s = entry.profile.sample(1.0)
+    return entry.problem, solve_reduced(
+        entry.problem, ReducedState(1.0, s.phi, s.dphi, s.f, s.df),
+        IntegrationConfig(xi_span=(1.0, 8.0), rel_tol=1e-12, abs_tol=1e-13))
 
 
 @pytest.fixture

@@ -341,6 +341,27 @@ class TestGalleryConfig:
         assert main(["verify", str(cfg), str(tmp_path / "profile.csv"),
                      "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("name", ["gaussian", "n2_polynomial"])
+    def test_exact_oracle_report_is_strict_json(self, tmp_path, name):
+        # phi is constant for both defaults, so the FD oracle is exact and
+        # its rate infinite: report.json once held "rate": Infinity, which
+        # is not JSON.
+        assert main(["gallery", "emit", name, "--out", str(tmp_path)]) == 0
+        cfg = json.loads(
+            (tmp_path / f"{name}_summary.json").read_text())["config"]
+        cfg["sample"]["box"] = [[0.5, 1.5]] * cfg["n"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["verify", str(tmp_path / "cfg.json"),
+                     str(tmp_path / f"{name}_profile.csv"),
+                     "--out", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["oracle_gap"]["rate"] is None
+
     def test_config_dimension_must_match_entry(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", mode="gallery:space_form")
         assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 2

@@ -297,17 +297,6 @@ def composed_report(p, prof, spec, threshold, oracle_points=3):
     return report
 
 
-@pytest.fixture(scope="module")
-def integrated_cigar():
-    """The theorem-2 cigar integrated over xi in [1, 8]: xi >= 1 keeps
-    about 82% of the box [-2, 2]^2."""
-    entry = gallery("cigar")
-    s = entry.profile.sample(1.0)
-    return entry.problem, solve_reduced(
-        entry.problem, ReducedState(1.0, s.phi, s.dphi, s.f, s.df),
-        IntegrationConfig(xi_span=(1.0, 8.0), rel_tol=1e-12, abs_tol=1e-13))
-
-
 class CountingProfile(Profile):
     """Forwards to a profile, recording the xi of every evaluate call."""
 
