@@ -39,16 +39,14 @@ from .reduction import (
 )
 from .rk import MAX_ATTEMPTS, IntegrationConfig
 from .solve import NodeProfile, solve_reduced, solve_special
-from .verify import SampleSpec, verify_profile
+from .verify import MAX_SEED, SampleSpec, verify_profile
 
 CSV_COLUMNS = ("xi", "phi", "dphi", "f", "df")
-DEFAULT_OUTPUT_POINTS = 2001
 MAX_POINTS = 10_000_000
-
-# CSV-backed verification reconstructs second derivatives from splines of
-# the stored columns; its residual floor is the reconstruction error, well
-# above the in-memory pipeline's. Hence a laxer default threshold here.
-DEFAULT_CLI_THRESHOLD = 1e-5
+# verify's FD oracle holds 4 steps x 3 points x (2n+1) stencil x n^3
+# Christoffel doubles: 13 MB at n = 16, but 19 GB at n = 100. The bound
+# keeps a config of a few bytes from asking for that.
+MAX_DIM = 16
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +70,51 @@ def _positive(v) -> bool:
     return _finite(v) and v > 0
 
 
-def _int_in(v, lo: int, hi=math.inf) -> bool:
+def _int_in(v, lo: int, hi: int) -> bool:
     """An integer (not a boolean) in [lo, hi]."""
     return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+#: The config's scalar fields, one row each: (dotted path, default, check,
+#: requirement). `resolve_config` fills an absent field with its default
+#: and reports "<path>: <requirement> required" for a value its check
+#: rejects; the flags of VERIFY_FLAGS are checked by the same rows. The
+#: sampling mode is SampleSpec's to check, when verify builds one.
+FIELDS = (
+    ("tau", 0.0, _finite, "finite number"),
+    ("lambda", 0.0, _finite, "finite number"),
+    ("tolerances.rel_tol", 1e-10, _positive, "positive finite number"),
+    ("tolerances.abs_tol", 1e-12, _positive, "positive finite number"),
+    ("tolerances.max_step", None, lambda v: v is None or _positive(v),
+     "null or positive finite number"),
+    ("sample.mode", "random", lambda v: True,
+     "'random' or 'grid', checked by verify"),
+    ("sample.seed", 0, lambda v: _int_in(v, 0, MAX_SEED),
+     "integer in [0, 2**128 - 1]"),
+    ("sample.count", 500, lambda v: _int_in(v, 1, MAX_POINTS),
+     f"integer in [1, {MAX_POINTS}]"),
+    ("sample.exclusion_phi", 1e-8, lambda v: _finite(v) and v >= 0,
+     "finite number >= 0"),
+    ("sample.exclusion_sing", 1e-8, lambda v: _finite(v) and v >= 0,
+     "finite number >= 0"),
+    ("output.points", 2001, lambda v: _int_in(v, 2, MAX_POINTS),
+     f"integer in [2, {MAX_POINTS}]"),
+    ("output.profile_csv", "profile.csv",
+     lambda v: isinstance(v, str) and v != "", "file name"),
+    ("output.summary_json", "summary.json",
+     lambda v: isinstance(v, str) and v != "", "file name"),
+    ("output.report_json", "report.json",
+     lambda v: isinstance(v, str) and v != "", "file name"),
+    # CSV-backed verification reconstructs second derivatives from splines
+    # of the stored columns; its residual floor is the reconstruction
+    # error, well above the in-memory pipeline's. Hence a laxer default
+    # threshold than the library's.
+    ("threshold", 1e-5, _positive, "positive finite number"),
+)
+
+#: verify's flags, by the field each overrides.
+VERIFY_FLAGS = {"sample.count": "points", "sample.seed": "seed",
+                "threshold": "threshold"}
 
 
 def load_config(path: str | Path) -> dict:
@@ -101,13 +141,14 @@ def _gallery_param_errors(name: str, params: dict,
     """What is wrong with the parameters of gallery entry `name`.
 
     Each key must be one of the entry's parameters, and each value of its
-    default's kind: a finite number, the dimension (an integer >= 2), or
-    null or a list of finite numbers. Given the config's dimension n, the
-    dimension and the lists must match it.
+    default's kind: a finite number, the dimension (an integer in
+    [2, MAX_DIM]), or null or a list of at most MAX_DIM finite numbers.
+    Given the config's dimension n, the dimension and the lists must match
+    it.
     """
     errors: list[str] = []
     defaults = gallery_parameters(name)
-    of_n = "" if n is None else f" of n = {n}"
+    of_n = f" of at most {MAX_DIM}" if n is None else f" of n = {n}"
     for key, val in params.items():
         field = f"gallery_params.{key}"
         if key not in defaults:
@@ -116,13 +157,14 @@ def _gallery_param_errors(name: str, params: dict,
         elif defaults[key] is None:
             ok = val is None or (isinstance(val, list)
                                  and len(val) == (n or len(val))
+                                 and len(val) <= MAX_DIM
                                  and all(_finite(v) for v in val))
             _require(ok, f"{field}: null or a list{of_n} finite numbers "
                      "required", errors)
         elif isinstance(defaults[key], int):
-            _require(_int_in(val, 2) and val == (n or val),
-                     f"{field}: the dimension{of_n}, an integer >= 2, "
-                     "required", errors)
+            _require(_int_in(val, 2, MAX_DIM) and val == (n or val),
+                     f"{field}: the dimension{of_n}, an integer in "
+                     f"[2, {MAX_DIM}], required", errors)
         else:
             _require(_finite(val), f"{field}: finite number required",
                      errors)
@@ -130,7 +172,8 @@ def _gallery_param_errors(name: str, params: dict,
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate and fill defaults; returns the fully-resolved config."""
+    """Validate and fill defaults; returns the fully-resolved config. The
+    caller's dict is left as it was."""
     if not isinstance(raw, dict):
         raise ConfigInvalid("config: JSON object required")
     errors: list[str] = []
@@ -150,7 +193,8 @@ def resolve_config(raw: dict) -> dict:
                  errors)
 
     n = cfg.get("n")
-    n_ok = _require(_int_in(n, 2), "n: integer >= 2 required", errors)
+    n_ok = _require(_int_in(n, 2, MAX_DIM),
+                    f"n: integer in [2, {MAX_DIM}] required", errors)
     eps = cfg.get("epsilon")
     if n_ok and _require(isinstance(eps, list) and len(eps) == n,
                          f"epsilon: list of length n = {n} required", errors):
@@ -167,37 +211,28 @@ def resolve_config(raw: dict) -> dict:
                      f"{key}: list of n = {n} finite numbers required",
                      errors)
 
-    for key, default in (("tau", 0.0), ("lambda", 0.0)):
-        cfg.setdefault(key, default)
-        _require(_finite(cfg[key]), f"{key}: finite number required",
-                 errors)
+    sections = {"": cfg}
+    for path, default, check, need in FIELDS:
+        head, _, key = path.rpartition(".")
+        if head not in sections:
+            sections[head] = cfg[head] = _section(cfg, head, errors)
+        value = sections[head].setdefault(key, default)
+        _require(check(value), f"{path}: {need} required", errors)
 
     span = cfg.get("xi_span")
     integrated = mode in ("theorem2", "theorem3")
-    span_ok = False
     if integrated or span is not None:
         span_ok = _require(
             isinstance(span, list) and len(span) == 2
             and all(_finite(v) for v in span) and span[0] != span[1],
             "xi_span: [start, end], finite, with start != end required",
             errors)
-
-    tols = _section(cfg, "tolerances", errors)
-    tols.setdefault("rel_tol", 1e-10)
-    tols.setdefault("abs_tol", 1e-12)
-    tols.setdefault("max_step", None)
-    for key in ("rel_tol", "abs_tol"):
-        _require(_positive(tols[key]),
-                 f"tolerances.{key}: positive finite number required",
-                 errors)
-    max_step = tols["max_step"]
-    if _require(max_step is None or _positive(max_step),
-                "tolerances.max_step: null or positive finite number "
-                "required", errors) and integrated and span_ok and max_step:
-        _require(abs(span[1] - span[0]) / max_step <= MAX_ATTEMPTS,
-                 f"tolerances.max_step: xi_span needs more than the step "
-                 f"budget of {MAX_ATTEMPTS} steps of max_step", errors)
-    cfg["tolerances"] = tols
+        max_step = cfg["tolerances"]["max_step"]
+        if integrated and span_ok and _positive(max_step):
+            _require(abs(span[1] - span[0]) / max_step <= MAX_ATTEMPTS,
+                     f"tolerances.max_step: xi_span needs more than the "
+                     f"step budget of {MAX_ATTEMPTS} steps of max_step",
+                     errors)
 
     initial = cfg.get("initial")
     needed = {"theorem2": ("phi0", "dphi0", "f0", "df0"),
@@ -208,55 +243,25 @@ def resolve_config(raw: dict) -> dict:
         _require(ok, f"initial: dict with finite numbers {needed} required",
                  errors)
         if ok and mode == "theorem3":
+            initial = cfg["initial"] = dict(initial)
             initial.setdefault("f0", 0.0)
             _require(_finite(initial["f0"]),
                      "initial.f0: finite number required", errors)
             _require(initial["h0"] > 0, "initial.h0: must be positive",
                      errors)
 
-    sample = _section(cfg, "sample", errors)
-    sample.setdefault("mode", "random")
-    sample.setdefault("seed", 0)
-    sample.setdefault("count", 500)
-    sample.setdefault("exclusion_phi", 1e-8)
-    sample.setdefault("exclusion_sing", 1e-8)
-    _require(_int_in(sample["count"], 1, MAX_POINTS),
-             f"sample.count: integer in [1, {MAX_POINTS}] required", errors)
-    _require(_int_in(sample["seed"], 0),
-             "sample.seed: integer >= 0 required", errors)
-    for key in ("exclusion_phi", "exclusion_sing"):
-        _require(_finite(sample[key]) and sample[key] >= 0,
-                 f"sample.{key}: finite number >= 0 required", errors)
-    if "box" in sample and n_ok:
-        box = sample["box"]
+    if "box" in cfg["sample"] and n_ok:
+        box = cfg["sample"]["box"]
         _require(isinstance(box, list) and len(box) == n
                  and all(isinstance(b, list) and len(b) == 2
                          and all(_finite(v) for v in b) and b[0] < b[1]
                          for b in box),
                  "sample.box: list of n [lo, hi] pairs, finite, with lo < hi,"
                  " required", errors)
-    cfg["sample"] = sample
 
-    output = _section(cfg, "output", errors)
-    output.setdefault("points", DEFAULT_OUTPUT_POINTS)
-    _require(_int_in(output["points"], 2, MAX_POINTS),
-             f"output.points: integer in [2, {MAX_POINTS}] required", errors)
-    output.setdefault("profile_csv", "profile.csv")
-    output.setdefault("summary_json", "summary.json")
-    output.setdefault("report_json", "report.json")
-    for key in ("profile_csv", "summary_json", "report_json"):
-        _require(isinstance(output[key], str) and output[key] != "",
-                 f"output.{key}: file name required", errors)
-    cfg["output"] = output
-
-    cfg.setdefault("threshold", DEFAULT_CLI_THRESHOLD)
-    _require(_positive(cfg["threshold"]),
-             "threshold: positive finite number required", errors)
-
-    params = _section(cfg, "gallery_params", errors)
+    params = cfg["gallery_params"] = _section(cfg, "gallery_params", errors)
     if name in GALLERY_NAMES and n_ok:
         errors += _gallery_param_errors(name, params, n)
-    cfg["gallery_params"] = params
 
     if errors:
         raise ConfigInvalid(errors)
@@ -399,20 +404,8 @@ def _summary(cfg: dict, problem: SolitonProblem, prof: Profile,
         "xi_range": [prof.xi_min if math.isfinite(prof.xi_min) else None,
                      prof.xi_max if math.isfinite(prof.xi_max) else None],
         **info,
-        "config": _json_safe(cfg),
+        "config": cfg,
     }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def cmd_solve(args) -> int:
@@ -476,24 +469,31 @@ def read_profile_csv(path: str | Path, expected_n: int) -> NodeProfile:
                        data[:, 4])
 
 
-def _sample_spec(cfg: dict, args) -> SampleSpec:
+def _apply_flags(cfg: dict, args) -> None:
+    """Put verify's --points, --seed and --threshold into a resolved
+    config, each checked by the row of the field it overrides."""
+    errors: list[str] = []
+    for path, _, check, need in FIELDS:
+        flag = VERIFY_FLAGS.get(path)
+        value = getattr(args, flag) if flag else None
+        if value is not None:
+            _require(check(value), f"--{flag}: {need} required", errors)
+            head, _, key = path.rpartition(".")
+            (cfg[head] if head else cfg)[key] = value
+    if errors:
+        raise ConfigInvalid(errors)
+
+
+def _sample_spec(cfg: dict) -> SampleSpec:
     sample = cfg["sample"]
     if "box" not in sample:
         raise ConfigInvalid("sample.box: required for verification")
-    count = args.points if args.points is not None else sample["count"]
-    seed = args.seed if args.seed is not None else sample["seed"]
-    errors: list[str] = []
-    _require(1 <= count <= MAX_POINTS,
-             f"--points: integer in [1, {MAX_POINTS}] required", errors)
-    _require(seed >= 0, "--seed: integer >= 0 required", errors)
-    if errors:
-        raise ConfigInvalid(errors)
     try:
         return SampleSpec(
             box=[tuple(b) for b in sample["box"]],
             mode=sample["mode"],
-            count=count,
-            seed=seed,
+            count=sample["count"],
+            seed=sample["seed"],
             exclusion_phi=float(sample["exclusion_phi"]),
             exclusion_sing=float(sample["exclusion_sing"]),
         )
@@ -503,13 +503,11 @@ def _sample_spec(cfg: dict, args) -> SampleSpec:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    if args.threshold is not None and not _positive(args.threshold):
-        raise ConfigInvalid("--threshold: positive finite number required")
+    _apply_flags(cfg, args)
     problem = build_problem(cfg)
     prof = read_profile_csv(args.profile, cfg["n"])
-    spec = _sample_spec(cfg, args)
-    threshold = float(args.threshold if args.threshold is not None
-                      else cfg["threshold"])
+    spec = _sample_spec(cfg)
+    threshold = float(cfg["threshold"])
     report = verify_profile(problem, prof, spec, threshold=threshold)
     report_path = Path(args.out or ".") / cfg["output"]["report_json"]
     report_path.parent.mkdir(parents=True, exist_ok=True)

@@ -32,6 +32,9 @@ ORACLE_STEP = 1e-4
 #: on the round-off floor of the doubly nested differences.
 RATE_BASE_STEP = 1e-2
 
+#: Largest sampling seed: np.random.Philox takes a 128-bit key.
+MAX_SEED = 2 ** 128 - 1
+
 
 def _check_integer(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -54,8 +57,8 @@ class SampleSpec:
             _check_integer(name, getattr(self, name))
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError("seed must be in [0, 2**128 - 1]")
         for lo, hi in self.box:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("box bounds must be finite")
@@ -269,7 +272,6 @@ def residual_scale(lam: float, phi: np.ndarray, ddphi: np.ndarray) -> float:
 
 def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
                    threshold: float = DEFAULT_THRESHOLD,
-                   run_oracle: bool = True,
                    oracle_points: int = 3) -> ResidualReport:
     """Evaluate every residual family over the sample; aggregate maxima.
 
@@ -293,10 +295,7 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
     verdict = "pass" if all(v <= threshold for v in maxima.values()) \
         else "fail"
 
-    gap = None
-    if run_oracle:
-        gap = _profile_oracle_gap(p, prof, xs[:oracle_points], phi)
-
+    gap = _profile_oracle_gap(p, prof, xs[:oracle_points], phi)
     return ResidualReport(
         **maxima,
         scale=scale,

@@ -69,7 +69,7 @@ def test_criterion_01_cigar_reproduction():
     rep = verify_profile(p, prof,
                          SampleSpec(box=[(-2.0, 2.0)] * 2, count=500,
                                     seed=0),
-                         threshold=1e-9, run_oracle=False)
+                         threshold=1e-9, oracle_points=0)
     ok = worst_h <= 1e-9 and worst_f <= 1e-9 and rep.max_tensor <= 1e-9
     report(1, "cigar reproduction", ok,
            f"|h-(1+xi)| {worst_h:.2e}, |f+ln(1+xi)| {worst_f:.2e}, "
@@ -84,7 +84,7 @@ def test_criterion_02_gaussian_reproduction():
         rep = verify_profile(entry.problem, entry.profile,
                              SampleSpec(box=[(-2.0, 2.0)] * 3, count=200,
                                         seed=1),
-                             threshold=1e-11, run_oracle=False)
+                             threshold=1e-11, oracle_points=0)
         worst = max(worst, rep.max_tensor, rep.max_diag, rep.max_offdiag,
                     rep.max_trace)
     report(2, "gaussian reproduction", worst <= 1e-11,
@@ -118,7 +118,7 @@ def test_criterion_03_space_form_lambda():
     rep = verify_profile(entry.problem, entry.profile,
                          SampleSpec(box=[(-2.0, 2.0)] * 3, count=300,
                                     seed=2),
-                         threshold=1e-10, run_oracle=False)
+                         threshold=1e-10, oracle_points=0)
     ok = worst_dev <= 1e-10 and abs(forced - 8.0) <= 1e-12 and rep.passed
     report(3, "space-form lambda relation", ok,
            f"brute-force vs closed form dev {worst_dev:.2e}, forced "

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +102,8 @@ class TestResolveConfig:
         ("sample.count", 10 ** 7 + 1), ("output.points", 10 ** 7 + 1),
         pytest.param("sample.count", 10 ** 12, id="sample.count-10**12"),
         pytest.param("output.points", 10 ** 12, id="output.points-10**12"),
+        # np.random.Philox once refused it in verify: a traceback, exit 1.
+        pytest.param("sample.seed", 2 ** 128, id="sample.seed-2**128"),
     ])
     def test_rejects_non_finite_and_bool(self, tmp_path, field, bad):
         raw = json.loads(write_config(tmp_path / "c.json").read_text())
@@ -126,6 +129,16 @@ class TestResolveConfig:
                         {"c1": -1.0, "c2": 0.0, "h0": 1.0, "f0": math.inf}):
             with pytest.raises(ConfigInvalid):
                 resolve_config(dict(base, initial=initial))
+
+
+def test_readme_schema_table_is_fields():
+    # README's table of scalar fields is the one cli.FIELDS renders.
+    rows = [f"| `{path}` | `{json.dumps(default)}` | {need} |"
+            for path, default, _, need in cli.FIELDS]
+    table = "\n".join(["| field | default | required |", "|---|---|---|",
+                       *rows, "", ""])
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert table in readme.read_text()
 
 
 class TestSolveVerifyRoundTrip:
@@ -397,9 +410,11 @@ class TestErrorExitCodes:
 
     @pytest.mark.parametrize("flag", [["--points", "0"], ["--points", "-5"],
                                       ["--seed", "-1"],
-                                      ["--points", str(10 ** 12)]],
+                                      ["--points", str(10 ** 12)],
+                                      ["--seed", str(2 ** 128)]],
                              ids=["points_0", "points_negative",
-                                  "seed_negative", "points_above_bound"])
+                                  "seed_negative", "points_above_bound",
+                                  "seed_above_bound"])
     def test_bad_verify_flags_exit_2(self, tmp_path, flag):
         # --points 0 once fell back to the config's count; a negative count
         # or seed died with a traceback and exit 1.
@@ -413,6 +428,41 @@ class TestErrorExitCodes:
         assert f"invalid configuration: {flag[0]}:" in out.stderr
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "report.json").exists()
+
+    def test_seed_bound(self, tmp_path, capsys):
+        # A seed of 2**128 once died in np.random.Philox with a traceback
+        # and exit 1, the code of a failed verification.
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 0
+        prof = str(tmp_path / "profile.csv")
+        for seed, code in ((2 ** 128, 2), (2 ** 128 - 1, 0)):
+            cfg = write_config(tmp_path / "cfg.json", sample={
+                "box": [[-2.0, 2.0], [-2.0, 2.0]], "count": 50,
+                "seed": seed})
+            assert main(["verify", str(cfg), prof, "--out",
+                         str(tmp_path / str(code))]) == code
+        assert "invalid configuration: sample.seed:" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "2").exists()
+
+    def test_dimension_bound(self, tmp_path, capsys):
+        # n had no upper bound: verify's FD oracle needs 19 GB at n = 100,
+        # and gallery emit gaussian --param n=1000000000 asked np.ones for
+        # 8 GB. Each is rejected before anything is allocated.
+        n = cli.MAX_DIM + 1
+        cfg = write_config(tmp_path / "cfg.json", n=n, epsilon=[1] * n,
+                           sample={"box": [[-1.0, 1.0]] * n})
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "invalid configuration: n:" in capsys.readouterr().err
+        for param, field in ((f"n={n}", "n"), (f"eps={[1] * n}", "eps")):
+            assert main(["gallery", "emit", "gaussian", "--out",
+                         str(tmp_path / "s"), "--param", param]) == 2
+            assert f"invalid configuration: gallery_params.{field}:" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+        n = cli.MAX_DIM  # the bound itself is accepted
+        resolve_config({"mode": "gallery:gaussian", "n": n,
+                        "epsilon": [1] * n, "gallery_params": {"n": n}})
 
     def test_bad_sample_spec_exits_2(self, tmp_path, capsys):
         # An unknown sampling mode, or a grid too small for 2 points per

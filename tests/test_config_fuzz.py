@@ -1,7 +1,10 @@
 """Fuzzed configs: resolving a config, and building the problem of any
-config that resolves, return or raise a library error, nothing else."""
+config that resolves, return or raise a library error, nothing else; and
+`cli.main` runs of solve and verify on fuzzed configs and flags exit 0, 1
+or 2."""
 
 import copy
+import json
 import math
 
 import pytest
@@ -9,8 +12,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from soliton_reduce.cli import build_problem, resolve_config  # noqa: E402
+from soliton_reduce.cli import (  # noqa: E402
+    FIELDS,
+    build_problem,
+    main,
+    resolve_config,
+)
 from soliton_reduce.errors import SolitonReduceError  # noqa: E402
+from soliton_reduce.reduction import (  # noqa: E402
+    GALLERY_NAMES,
+    gallery_parameters,
+)
 
 BASES = [
     {"mode": "theorem2", "n": 2, "epsilon": [1, 1], "tau": 1.0,
@@ -30,20 +42,16 @@ BASES = [
      "gallery_params": {"c1": 0.5, "c2": 0.2, "c3": 1.0}},
 ]
 
-#: Where a fuzzed value goes: top-level keys, section keys and list items.
-PATHS = [
-    "mode", "n", "epsilon", "epsilon.0", "tau", "lambda", "alpha",
-    "alpha.1", "beta", "beta.0", "xi_span", "xi_span.1", "initial",
-    "initial.phi0", "initial.h0", "initial.f0", "tolerances",
-    "tolerances.rel_tol", "tolerances.max_step", "sample", "sample.box",
-    "sample.box.0", "sample.count", "sample.seed", "sample.mode",
-    "sample.exclusion_phi", "output", "output.points", "output.profile_csv",
-    "threshold", "gallery_params", "gallery_params.n", "gallery_params.eps",
-    "gallery_params.k", "gallery_params.tau", "gallery_params.lam",
-    "gallery_params.b1", "gallery_params.b2", "gallery_params.alpha",
-    "gallery_params.c1", "gallery_params.c2", "gallery_params.c3",
-    "gallery_params.xi_anchor", "gallery_params.bogus",
-]
+#: Where a fuzzed value goes: every row of the field table, every gallery
+#: parameter, and the keys, sections and list items checked in code.
+PATHS = sorted({path for path, *_ in FIELDS}
+               | {f"gallery_params.{key}" for name in GALLERY_NAMES
+                  for key in gallery_parameters(name)}
+               | {"mode", "n", "epsilon", "epsilon.0", "alpha", "alpha.1",
+                  "beta", "beta.0", "xi_span", "xi_span.1", "initial",
+                  "initial.phi0", "initial.h0", "initial.f0", "tolerances",
+                  "sample", "sample.box", "sample.box.0", "output",
+                  "gallery_params", "gallery_params.bogus"})
 
 scalars = (st.none() | st.booleans() | st.integers()
            | st.floats(allow_nan=True, allow_infinity=True)
@@ -94,3 +102,59 @@ def test_only_library_errors(base, edits):
         build_problem(cfg)
     except SolitonReduceError:
         pass
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda b: b["mode"])
+def test_resolve_leaves_caller_dict_alone(base):
+    # theorem3 once wrote the default f0 into the caller's "initial".
+    raw = copy.deepcopy(base)
+    resolve_config(raw)
+    assert raw == base
+
+
+#: A theorem-2 cigar the cli.main fuzz edits: small sizes, a short span.
+MAIN_BASE = {
+    "mode": "theorem2", "n": 2, "epsilon": [1, 1], "tau": 1.0,
+    "lambda": 0.0, "xi_span": [1.0, 3.0],
+    "initial": {"phi0": math.sqrt(2.0), "dphi0": 0.5 / math.sqrt(2.0),
+                "f0": -math.log(2.0), "df0": -0.5},
+    "sample": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "count": 20},
+    "output": {"points": 50},
+}
+#: The table's fields but the output file names, which would let the fuzz
+#: write anywhere, and a few keys checked in code.
+MAIN_PATHS = sorted({path for path, *_ in FIELDS
+                     if path == "output.points"
+                     or not path.startswith("output.")}
+                    | {"mode", "n", "xi_span.1", "initial.phi0",
+                       "sample.box.0.1"})
+BIG_SEEDS = [2 ** 128 - 1, 2 ** 128, 10 ** 40]
+#: Every valid size is at most 50; other values are junk of every kind.
+small = (st.integers(-2, 50) | st.floats(-10.0, 10.0)
+         | st.sampled_from([None, True, 0.5, 1e-3, 1e-300, math.nan,
+                            math.inf, -math.inf, 10 ** 400, "x", "grid",
+                            [], {}, *BIG_SEEDS]))
+flags = st.fixed_dictionaries({}, optional={
+    "--seed": st.integers(-2, 10) | st.sampled_from(BIG_SEEDS),
+    "--points": st.integers(-2, 50) | st.sampled_from([10 ** 12]),
+    "--threshold": st.floats() | st.sampled_from([1e-5, 1.0]),
+})
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(edits=st.lists(st.tuples(st.sampled_from(MAIN_PATHS),
+                                           small), max_size=2),
+                  flags=flags)
+@hypothesis.example(edits=[("sample.seed", 2 ** 128)], flags={})
+@hypothesis.example(edits=[], flags={"--seed": 10 ** 40})
+def test_main_exits_0_1_or_2(tmp_path_factory, edits, flags):
+    out = tmp_path_factory.mktemp("main")
+    raw = copy.deepcopy(MAIN_BASE)
+    for path, value in edits:
+        put(raw, path, value)
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["solve", str(cfg), "--out", str(out)]) in (0, 1, 2)
+    argv = ["verify", str(cfg), str(out / "profile.csv"), "--out", str(out)]
+    argv += [f"{flag}={value}" for flag, value in flags.items()]
+    assert main(argv) in (0, 1, 2)
