@@ -75,6 +75,22 @@ def _int_in(v, lo: int, hi: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
 
 
+def max_count(n: int) -> int:
+    """The most sample points verify takes in dimension n. Its residual
+    pass holds (count, n, n) temporaries, about 12.9 KB a point at
+    n = 16, so count * n**2 may not exceed 4 * MAX_POINTS: n = 2 keeps
+    MAX_POINTS, n = 16 allows 156 250."""
+    return 4 * MAX_POINTS // n ** 2
+
+
+def _count_error(count, n: int, name: str) -> list[str]:
+    """The message for a sample count above max_count(n), if any."""
+    if not _int_in(count, 1, MAX_POINTS) or count <= max_count(n):
+        return []
+    return [f"{name}: at most {max_count(n)} points for n = {n} "
+            f"(count * n**2 <= {4 * MAX_POINTS}) required"]
+
+
 #: The config's scalar fields, one row each: (dotted path, default, check,
 #: requirement). `resolve_config` fills an absent field with its default
 #: and reports "<path>: <requirement> required" for a value its check
@@ -258,6 +274,9 @@ def resolve_config(raw: dict) -> dict:
                          for b in box),
                  "sample.box: list of n [lo, hi] pairs, finite, with lo < hi,"
                  " required", errors)
+
+    if n_ok:
+        errors += _count_error(cfg["sample"]["count"], n, "sample.count")
 
     params = cfg["gallery_params"] = _section(cfg, "gallery_params", errors)
     if name in GALLERY_NAMES and n_ok:
@@ -480,6 +499,7 @@ def _apply_flags(cfg: dict, args) -> None:
             _require(check(value), f"--{flag}: {need} required", errors)
             head, _, key = path.rpartition(".")
             (cfg[head] if head else cfg)[key] = value
+    errors += _count_error(args.points, cfg["n"], "--points")
     if errors:
         raise ConfigInvalid(errors)
 

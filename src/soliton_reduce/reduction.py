@@ -104,11 +104,20 @@ class SpecialParams:
 
 
 def check_null_direction(p: SolitonProblem) -> None:
-    tau = p.ansatz.tau
-    if tau == 0.0 and abs(p.lambda_constant) < TOL_SING:
+    """Raise NullTranslationDirection on a lightlike translation ansatz
+    (tau = 0, Lambda = 0). There T = 4 tau xi + Lambda vanishes, so the
+    diagonal equation collapses to lambda = 0 and leaves phi'' free."""
+    if p.ansatz.tau != 0.0 or abs(p.lambda_constant) >= TOL_SING:
+        return
+    null = "tau = 0 with Lambda = 0 (lightlike translation direction)"
+    if p.lam != 0.0:
         raise NullTranslationDirection(
-            "tau = 0 with Lambda = 0 (lightlike direction): phi'' undetermined"
-        )
+            f"{null}: no soliton exists for lambda = {p.lam}, because the "
+            "diagonal equation collapses to lambda = 0")
+    raise NullTranslationDirection(
+        f"{null}: with lambda = 0 every positive phi gives a steady soliton "
+        "with (phi^2 f')' = -(n - 2) phi phi'', which the second-order "
+        "system cannot integrate")
 
 
 def _second_derivatives(p: SolitonProblem, power):

@@ -21,8 +21,11 @@ needed by the reduction pipeline:
 
 The state is a list of Python floats. ``f(t, y)`` and every event's
 ``g(t, y)`` receive y as a list; ``f`` returns a length-ny sequence of
-floats (numpy arrays work too, only slower). Every caller has ny <= 4,
-where a numpy call per stage would cost more than the arithmetic.
+floats (numpy arrays work too, only slower), and a value of another
+length raises ValueError where it is returned. The trial step is
+straight-line code generated from the tableau once per state size ny:
+no loop, comprehension or numpy call per stage, and the same arithmetic
+as the componentwise loop, bit for bit.
 
 Determinism: identical inputs produce bit-identical output (no randomness,
 no wall-clock dependence).
@@ -30,6 +33,7 @@ no wall-clock dependence).
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -40,22 +44,21 @@ import numpy as np
 from .errors import DomainError, EventAtStart, StepSizeUnderflow
 from .profiles import PiecewisePoly, Termination, power_sum
 
-# Dormand-Prince 5(4) tableau (Dormand & Prince 1980), non-zero entries
-# only, stages numbered from 0: nodes c_i, coefficients a_ij, fifth-order
-# weights b_j (b_1 = 0; they are also the last row of a, which makes the
-# method FSAL) and error weights e_j = b_j - b*_j (e_1 = 0).
-_C1, _C2, _C3, _C4 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A10 = 1 / 5
-_A20, _A21 = 3 / 40, 9 / 40
-_A30, _A31, _A32 = 44 / 45, -56 / 15, 32 / 9
-_A40, _A41, _A42, _A43 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
-                          -212 / 729)
-_A50, _A51, _A52, _A53, _A54 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B0, _B2, _B3, _B4, _B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
-                           11 / 84)
-_E0, _E2, _E3, _E4, _E5, _E6 = (-71 / 57600, 71 / 16695, -71 / 1920,
-                                17253 / 339200, -22 / 525, 1 / 40)
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980), stages numbered
+# from 0. Row i - 1 holds stage i's node c_i and coefficients a_i0 ..
+# a_i,i-1. The last row's coefficients are the fifth-order weights b, so
+# stage 6 is f at the new state (the method is FSAL). _E holds the error
+# weights e_j = b_j - b*_j. Zero entries take no part in the arithmetic.
+_TABLEAU = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
 # Quartic dense-output matrix from Shampine, "Some Practical Runge-Kutta
 # Formulas", Math. Comp. 46 (1986): a step of length h from y0 with stages
 # K (7, ny) has the interpolant y0 + h * q @ (theta, .., theta^4), q = K^T P.
@@ -166,6 +169,7 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     try:
         y1 = [v + h0 * direction * k for v, k in zip(y0, f0)]
         f1 = f(t0 + h0 * direction, y1)
+        _check_length(f1, len(y0), t0 + h0 * direction)
         d2 = _rms_norm([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     except DomainError:
         return h0 * 0.1
@@ -176,43 +180,76 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
-def _attempt_step(f, t, y, k0, h, rtol, atol):
-    """One DP5(4) trial step of signed length h from (t, y), with
-    k0 = f(t, y). Returns the f calls made, the fifth-order state (None
-    if f raised DomainError), the RMS norm of its error estimate
-    h * sum_j e_j k_j scaled by atol + rtol * max(|y|, |y_new|), and the
-    seven stages (the last is f at the new state)."""
-    calls = 1
-    try:
-        k1 = f(t + _C1 * h, [v + h * (_A10 * a) for v, a in zip(y, k0)])
-        calls = 2
-        k2 = f(t + _C2 * h, [v + h * (_A20 * a + _A21 * b)
-                             for v, a, b in zip(y, k0, k1)])
-        calls = 3
-        k3 = f(t + _C3 * h, [v + h * (_A30 * a + _A31 * b + _A32 * c)
-                             for v, a, b, c in zip(y, k0, k1, k2)])
-        calls = 4
-        k4 = f(t + _C4 * h, [v + h * (_A40 * a + _A41 * b + _A42 * c
-                                      + _A43 * d)
-                             for v, a, b, c, d in zip(y, k0, k1, k2, k3)])
-        calls = 5
-        k5 = f(t + h, [v + h * (_A50 * a + _A51 * b + _A52 * c + _A53 * d
-                                + _A54 * e)
-                       for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)])
-        y_new = [v + h * (_B0 * a + _B2 * c + _B3 * d + _B4 * e + _B5 * g)
-                 for v, a, c, d, e, g in zip(y, k0, k2, k3, k4, k5)]
-        calls = 6
-        k6 = f(t + h, y_new)
-    except DomainError:
-        return calls, None, None, None
-    total = 0.0
-    for v, w, a, c, d, e, g, k in zip(y, y_new, k0, k2, k3, k4, k5, k6):
-        err = h * (_E0 * a + _E2 * c + _E3 * d + _E4 * e + _E5 * g + _E6 * k)
-        # A non-finite w comes with a non-finite err, so the step is
-        # rejected whatever max() makes of the scale.
-        err /= atol + rtol * max(abs(v), abs(w))
-        total += err * err
-    return 6, y_new, math.sqrt(total / len(y)), (k0, k1, k2, k3, k4, k5, k6)
+def _check_length(k, ny: int, t: float) -> None:
+    """Raise ValueError unless f's value k at xi = t has ny components."""
+    if len(k) != ny:
+        raise ValueError(f"f returned {len(k)} components for a state of "
+                         f"{ny} at xi = {t}") from None
+
+
+@functools.cache
+def _attempt(ny: int):
+    """The DP5(4) trial step for states of ny components, compiled once
+    from _TABLEAU and _E as straight-line code, one local per stage
+    component.
+
+    ``attempt(f, t, y, k0, h, rtol, atol)`` steps by signed length h from
+    (t, y), with k0 = f(t, y). It returns the f calls made, the
+    fifth-order state (None if f raised DomainError), the RMS norm of its
+    error estimate h * sum_j e_j k_j scaled by atol + rtol * max(|y|,
+    |y_new|), and the seven stages as one flat tuple, stage by stage (the
+    last ny entries are f at the new state). Every sum runs left to right
+    over increasing j, and the norm sums the components in order, so the
+    arithmetic is that of the componentwise loop, bit for bit. An f value
+    with other than ny components raises ValueError at its stage.
+    """
+    comps = range(ny)
+
+    def names(i):
+        return "".join(f"k{i}_{c}, " for c in comps)
+
+    def combo(coeffs, c):
+        return " + ".join(f"{a!r} * k{j}_{c}" for j, a in enumerate(coeffs)
+                          if a)
+
+    lines = ["def attempt(f, t, y, k0, h, rtol, atol):",
+             f"    {''.join(f'y{c}, ' for c in comps)}= y",
+             f"    {names(0)}= k = k0",
+             "    calls = 1",
+             "    try:"]
+    for i, (node, row) in enumerate(_TABLEAU, 1):
+        if i > 1:
+            lines.append(f"        calls = {i}")
+        states = [f"y{c} + h * ({combo(row, c)})" for c in comps]
+        if i < len(_TABLEAU):
+            arg = f"[{', '.join(states)}]"
+        else:
+            lines += [f"        w{c} = {v}" for c, v in zip(comps, states)]
+            news = ", ".join(f"w{c}" for c in comps)
+            lines.append(f"        y_new = [{news}]")
+            arg = "y_new"
+        at = "t + h" if node == 1.0 else f"t + {node!r} * h"
+        lines += [f"        k = f({at}, {arg})", f"        {names(i)}= k"]
+    # k is f's latest value. Of the wrong length, it made the unpacking
+    # raise; of the right one, the ValueError is f's own and propagates.
+    lines += ["    except DomainError:",
+              "        return calls, None, None, None",
+              "    except ValueError:",
+              f"        check_length(k, {ny}, t + nodes[calls] * h)",
+              "        raise"]
+    # A non-finite w comes with a non-finite error, so the step is
+    # rejected whatever max() makes of the scale.
+    lines += [f"    e{c} = h * ({combo(_E, c)}) / "
+              f"(atol + rtol * max(abs(y{c}), abs(w{c})))" for c in comps]
+    total = " + ".join(f"e{c} * e{c}" for c in comps)
+    stages = "".join(names(i) for i in range(len(_TABLEAU) + 1))
+    lines.append(f"    return 6, y_new, sqrt(({total}) / {ny}), ({stages})")
+    namespace = {"DomainError": DomainError, "sqrt": math.sqrt,
+                 "check_length": _check_length,
+                 "nodes": (0.0, *(node for node, _ in _TABLEAU))}
+    exec(compile("\n".join(lines), f"<DP5(4) attempt, ny = {ny}>", "exec"),
+         namespace)
+    return namespace["attempt"]
 
 
 def _bisect_event(g, cols, t_lo: float, t_hi: float) -> float:
@@ -249,9 +286,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
             raise EventAtStart(f"event {ev.name!r} already holds at xi = {t0}")
 
     k0 = f(t0, y)  # initial state must satisfy the RHS preconditions
-    if len(k0) != ny:
-        raise ValueError(f"f returned {len(k0)} components for a state "
-                         f"of {ny}")
+    _check_length(k0, ny, t0)
 
     # Nodes, and the signed length and seven stages of each accepted step.
     ts, ys = array("d", [t0]), array("d", y)
@@ -263,6 +298,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
                                         span)
     h = min(h, max_step, span)
     t = t0
+    attempt = _attempt(ny)
     attempts = n_rejected = domain_failures = 0
     dense = None
 
@@ -289,8 +325,8 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         h_signed = direction * h
         attempts += 1
 
-        calls, y_new, err, stages = _attempt_step(f, t, y, k0, h_signed,
-                                                  rtol, atol)
+        calls, y_new, err, stages = attempt(f, t, y, k0, h_signed, rtol,
+                                            atol)
         n_fev += calls
         if y_new is None:  # f raised DomainError
             n_rejected += 1
@@ -306,8 +342,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
             continue
 
         hs.append(h_signed)
-        for k in stages:
-            ks.extend(k)
+        ks.extend(stages)
         t_new = t + h_signed
 
         # Event detection at the step endpoint (sign-based: events stay
@@ -337,7 +372,7 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
                                       xi_stop=t_stop)
             break
 
-        t, y, k0 = t_new, y_new, stages[6]
+        t, y, k0 = t_new, y_new, stages[-ny:]
         ts.append(t)
         ys.extend(y)
         factor = _MAX_FACTOR if err == 0.0 else min(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,9 +81,11 @@ class SpecialProfile(_IntegratedProfile):
 
 
 def _blowup_event(components, threshold: float) -> Event:
-    def g(t, y):
-        return threshold - max(abs(y[c]) for c in components)
-    return Event("field_blowup", g)
+    pick = itemgetter(*components)  # a scalar for one component
+    if len(components) == 1:
+        return Event("field_blowup", lambda t, y: threshold - abs(pick(y)))
+    return Event("field_blowup",
+                 lambda t, y: threshold - max(map(abs, pick(y))))
 
 
 def reduced_events(p: SolitonProblem, initial: ReducedState,

@@ -86,17 +86,24 @@ def gen() -> np.random.Generator:
 def run_recorded(monkeypatch):
     """run_recorded(run) -> (sol, steps): the RawSolution that `run()`
     returns, and the accepted steps (t0, y0, h, stages) of the integration
-    it made, in order. A step is the last attempt made from its start
-    node."""
+    it made, in order, with the stages as seven lists. A step is the last
+    attempt made from its start node."""
     attempts = []
-    attempt = rk._attempt_step
+    build = rk._attempt
 
-    def recording(f, t, y, k0, h, rtol, atol):
-        out = attempt(f, t, y, k0, h, rtol, atol)
-        attempts.append((t, list(y), h, out[3]))
-        return out
+    def recording_build(ny):
+        attempt = build(ny)
 
-    monkeypatch.setattr(rk, "_attempt_step", recording)
+        def recording(f, t, y, k0, h, rtol, atol):
+            out = attempt(f, t, y, k0, h, rtol, atol)
+            flat = out[3]
+            stages = flat and tuple(list(flat[i:i + ny])
+                                    for i in range(0, 7 * ny, ny))
+            attempts.append((t, list(y), h, stages))
+            return out
+        return recording
+
+    monkeypatch.setattr(rk, "_attempt", recording_build)
 
     def run_recorded(run):
         attempts.clear()

@@ -464,6 +464,44 @@ class TestErrorExitCodes:
         resolve_config({"mode": "gallery:gaussian", "n": n,
                         "epsilon": [1] * n, "gallery_params": {"n": n}})
 
+    def test_count_bound_scales_with_n(self, tmp_path, capsys):
+        # verify holds (count, n, n) residual temporaries, about 12.9 KB a
+        # point at n = 16: the 10**7 points MAX_POINTS allows there would
+        # have asked for about 130 GB.
+        n = 16
+        bound = cli.max_count(n)
+        assert bound == 156_250 and cli.max_count(2) == cli.MAX_POINTS
+        need = (f"at most {bound} points for n = {n} "
+                f"(count * n**2 <= {4 * cli.MAX_POINTS}) required")
+
+        def config(name, count):
+            return write_config(tmp_path / name, mode="gallery:gaussian",
+                                n=n, epsilon=[1] * n,
+                                gallery_params={"n": n},
+                                sample={"box": [[-1.0, 1.0]] * n,
+                                        "count": count})
+
+        over = config("over.json", bound + 1)
+        for argv in (["solve", str(over)],
+                     ["verify", str(over), str(tmp_path / "p.csv")]):
+            assert main([*argv, "--out", str(tmp_path / "s")]) == 2
+            assert f"invalid configuration: sample.count: {need}" in \
+                capsys.readouterr().err
+        ok = config("ok.json", bound)  # the bound itself is accepted
+        assert resolve_config(json.loads(ok.read_text()))["sample"][
+            "count"] == bound
+        # --points is checked before the CSV is read; at the bound only the
+        # missing CSV stops verify.
+        verify = ["verify", str(ok), str(tmp_path / "p.csv"), "--out",
+                  str(tmp_path / "s"), "--points"]
+        assert main([*verify, str(bound + 1)]) == 2
+        assert f"invalid configuration: --points: {need}" in \
+            capsys.readouterr().err
+        assert main([*verify, str(bound)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" not in err and "p.csv" in err
+        assert not (tmp_path / "s").exists()
+
     def test_bad_sample_spec_exits_2(self, tmp_path, capsys):
         # An unknown sampling mode, or a grid too small for 2 points per
         # axis, once died with a traceback and exit 1.
@@ -590,6 +628,25 @@ class TestErrorExitCodes:
                                     "df0": 0.0})
         assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 2
         assert "NullTranslationDirection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam, reason", [
+        (0.5, "no soliton exists for lambda = 0.5, because the diagonal "
+              "equation collapses to lambda = 0"),
+        (0.0, "with lambda = 0 every positive phi gives a steady soliton "
+              "with (phi^2 f')' = -(n - 2) phi phi'', which the "
+              "second-order system cannot integrate"),
+    ], ids=["lambda_nonzero", "lambda_zero"])
+    def test_null_translation_reason(self, tmp_path, capsys, lam, reason):
+        # Both once exited 2 with "phi'' undetermined", whatever lambda.
+        cfg = write_config(tmp_path / "cfg.json", n=3, epsilon=[-1, 1, 1],
+                           tau=0.0, alpha=[1.0, 1.0, 0.0],
+                           sample={"box": [[-1.0, 1.0]] * 3},
+                           **{"lambda": lam})
+        assert main(["solve", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert "NullTranslationDirection: tau = 0 with Lambda = 0 " \
+            "(lightlike translation direction): " + reason in err
+        assert not (tmp_path / "s").exists()
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         cfg2 = write_config(tmp_path / "cfg2.json")

@@ -23,6 +23,61 @@ def circle_rhs(t, y):
     return np.array([-y[1], y[0]])
 
 
+# The Dormand-Prince 5(4) tableau written out, nonzero entries only.
+C1, C2, C3, C4 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+A10 = 1 / 5
+A20, A21 = 3 / 40, 9 / 40
+A30, A31, A32 = 44 / 45, -56 / 15, 32 / 9
+A40, A41, A42, A43 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+A50, A51, A52, A53, A54 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                           -5103 / 18656)
+B0, B2, B3, B4, B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                      11 / 84)
+E0, E2, E3, E4, E5, E6 = (-71 / 57600, 71 / 16695, -71 / 1920,
+                          17253 / 339200, -22 / 525, 1 / 40)
+
+
+def loop_attempt(f, t, y, k0, h, rtol, atol):
+    """Reference DP5(4) attempt, one componentwise loop per stage: the
+    calls made, the fifth-order state (None if f raised DomainError), the
+    scaled RMS error norm and the seven stages as sequences."""
+    calls = 1
+    try:
+        k1 = f(t + C1 * h, [v + h * (A10 * a) for v, a in zip(y, k0)])
+        calls = 2
+        k2 = f(t + C2 * h, [v + h * (A20 * a + A21 * b)
+                            for v, a, b in zip(y, k0, k1)])
+        calls = 3
+        k3 = f(t + C3 * h, [v + h * (A30 * a + A31 * b + A32 * c)
+                            for v, a, b, c in zip(y, k0, k1, k2)])
+        calls = 4
+        k4 = f(t + C4 * h, [v + h * (A40 * a + A41 * b + A42 * c + A43 * d)
+                            for v, a, b, c, d in zip(y, k0, k1, k2, k3)])
+        calls = 5
+        k5 = f(t + h, [v + h * (A50 * a + A51 * b + A52 * c + A53 * d
+                                + A54 * e)
+                       for v, a, b, c, d, e in zip(y, k0, k1, k2, k3, k4)])
+        y_new = [v + h * (B0 * a + B2 * c + B3 * d + B4 * e + B5 * g)
+                 for v, a, c, d, e, g in zip(y, k0, k2, k3, k4, k5)]
+        calls = 6
+        k6 = f(t + h, y_new)
+    except DomainError:
+        return calls, None, None, None
+    total = 0.0
+    for v, w, a, c, d, e, g, k in zip(y, y_new, k0, k2, k3, k4, k5, k6):
+        err = h * (E0 * a + E2 * c + E3 * d + E4 * e + E5 * g + E6 * k)
+        err /= atol + rtol * max(abs(v), abs(w))
+        total += err * err
+    return 6, y_new, math.sqrt(total / len(y)), (k0, k1, k2, k3, k4, k5, k6)
+
+
+def coupled_rhs(t, y):
+    """A nonlinear RHS coupling every component to its neighbours."""
+    ny = len(y)
+    return [math.sin(t * v) - 0.7 * v * y[c - 1]
+            + math.exp(-y[(c - 2) % ny] ** 2) for c, v in enumerate(y)]
+
+
 class TestAccuracy:
     def test_exponential(self):
         sol = integrate(exp_rhs, [1.0], IntegrationConfig(
@@ -51,10 +106,10 @@ class TestAccuracy:
         h = (tf - t0) / steps
         y = list(y0)
         k0 = f(t0, y)
+        attempt = rk._attempt(len(y))
         for i in range(steps):
-            _, y, _, stages = rk._attempt_step(f, t0 + i * h, y, k0, h, 1.0,
-                                               1.0)
-            k0 = stages[6]
+            _, y, _, stages = attempt(f, t0 + i * h, y, k0, h, 1.0, 1.0)
+            k0 = stages[-len(y):]
         return y
 
     def test_convergence_order(self):
@@ -448,3 +503,159 @@ class TestStepBudget:
         assert sol.n_accepted + sol.n_rejected == rk.MAX_ATTEMPTS
         assert t.xi_stop == sol.ts[-1] == pytest.approx(1e-4, rel=1e-6)
         assert sol.ys[-1][0] == pytest.approx(math.exp(sol.ts[-1]), rel=1e-12)
+
+
+class TestGeneratedAttempt:
+    """rk._attempt(ny) against the loop it replaced: equal floats, equal
+    call counts, equal stages."""
+
+    @staticmethod
+    def inputs(ny, count):
+        gen = np.random.Generator(np.random.Philox(key=ny))
+        for _ in range(count):
+            t = float(gen.uniform(-3.0, 3.0))
+            y = gen.uniform(-2.0, 2.0, ny).tolist()
+            h = float(gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-4, 0))
+            rtol, atol = 10.0 ** gen.uniform(-12, -3, 2)
+            yield t, y, h, float(rtol), float(atol)
+
+    @staticmethod
+    def assert_same(got, want, ny):
+        assert got[0] == want[0]
+        if want[1] is None:
+            assert got[1:] == (None, None, None)
+            return
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert type(got[1]) is list
+        assert got[2] == want[2] or math.isnan(got[2]) and math.isnan(want[2])
+        assert np.array_equal(got[3], np.ravel(want[3]), equal_nan=True)
+        assert len(got[3]) == 7 * ny
+
+    @pytest.mark.parametrize("ny", range(1, 6))
+    def test_matches_loop(self, ny):
+        attempt = rk._attempt(ny)
+        assert rk._attempt(ny) is attempt  # built once per state size
+        for t, y, h, rtol, atol in self.inputs(ny, 200):
+            k0 = coupled_rhs(t, y)
+            got = attempt(coupled_rhs, t, y, k0, h, rtol, atol)
+            want = loop_attempt(coupled_rhs, t, y, k0, h, rtol, atol)
+            self.assert_same(got, want, ny)
+            assert got[1] == want[1] and got[2] == want[2]
+
+    @pytest.mark.parametrize("ny", range(1, 6))
+    @pytest.mark.parametrize("stage", range(1, 7))
+    def test_domain_error_at_each_stage(self, ny, stage):
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == stage:
+                raise DomainError("guard")
+            return coupled_rhs(t, y)
+
+        t, y, h, rtol, atol = next(self.inputs(ny, 1))
+        out = []
+        for attempt in (rk._attempt(ny), loop_attempt):
+            calls = []
+            out.append(attempt(rhs, t, y, coupled_rhs(t, y), h, rtol, atol))
+            assert len(calls) == stage
+        assert out[0] == out[1] == (stage, None, None, None)
+
+    @pytest.mark.parametrize("ny", [1, 4])
+    @pytest.mark.parametrize("stage", range(1, 7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stage(self, ny, stage, bad):
+        def rhs(t, y):  # arithmetic only: non-finite values pass through
+            calls.append(t)
+            k = [t * v - 0.7 * v * y[c - 1] for c, v in enumerate(y)]
+            if len(calls) == stage:
+                k[-1] = bad
+            return k
+
+        t, y, h, rtol, atol = next(self.inputs(ny, 1))
+        out = []
+        for attempt in (rk._attempt(ny), loop_attempt):
+            calls = []
+            out.append(attempt(rhs, t, y, y, h, rtol, atol))
+        self.assert_same(*out, ny)
+        # A NaN norm, or an infinite one when only the last stage is
+        # infinite: either way the step is rejected.
+        assert not math.isfinite(out[0][2]) and not out[0][2] <= 1.0
+
+    def test_zero_weights_leave_stage_1_out(self):
+        # b_1 = e_1 = 0: the loop never multiplies stage 1 into the new
+        # state or the error, so an infinite stage 1 that no later stage
+        # sees leaves both finite (a 0.0 * inf term would make them NaN).
+        def rhs(t, y):
+            calls.append(t)
+            return [math.inf if len(calls) == 1 else 1.0, -0.5]
+
+        out = []
+        for attempt in (rk._attempt(2), loop_attempt):
+            calls = []
+            out.append(attempt(rhs, 0.0, [1.0, 2.0], [1.0, -0.5], 0.1,
+                               1e-6, 1e-9))
+        self.assert_same(*out, 2)
+        assert all(map(math.isfinite, out[0][1])) and out[0][2] <= 1.0
+
+    @pytest.mark.parametrize("stage, xi", enumerate(
+        [0.1, 0.15, 0.4, 0.4444444444444444, 0.5, 0.5], 1))
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_length_change_at_each_stage(self, stage, xi, returned):
+        # xi is stage's t + c h on a step of h = 0.5 from t = 0.
+        def rhs(t, y):
+            calls.append(t)
+            return [1.0] * (returned if len(calls) == stage else 2)
+
+        calls = []
+        with pytest.raises(ValueError) as info:
+            rk._attempt(2)(rhs, 0.0, [1.0, 2.0], [1.0, 1.0], 0.5, 1e-6,
+                           1e-9)
+        assert len(calls) == stage
+        assert str(info.value) == (f"f returned {returned} components for "
+                                   f"a state of 2 at xi = {xi}")
+
+    def test_own_value_error_propagates(self):
+        def rhs(t, y):
+            raise ValueError("math domain error")
+
+        with pytest.raises(ValueError, match="^math domain error$"):
+            rk._attempt(2)(rhs, 0.0, [1.0, 2.0], [1.0, 1.0], 0.5, 1e-6, 1e-9)
+
+
+class TestRhsLength:
+    @pytest.mark.parametrize("returned", [1, 3], ids=["shorter", "longer"])
+    def test_length_change_raises_at_its_attempt(self, returned):
+        # From the tenth call on (the second attempt's third stage) f
+        # returns another length. A shorter value once shrank the state
+        # through zip and a longer one was cut by it; both runs died only
+        # after the end, in a reshape of the stored stages.
+        calls = []
+        later = 10
+
+        def rhs(t, y):
+            calls.append(t)
+            return ([-y[1], y[0]] if len(calls) < later
+                    else [1.0] * returned)
+
+        with pytest.raises(ValueError) as info:
+            integrate(rhs, [1.0, 0.0], IntegrationConfig(
+                xi_span=(0.0, 3.0), first_step=0.1))
+        assert len(calls) == later
+        assert str(info.value) == (f"f returned {returned} components for a "
+                                   f"state of 2 at xi = {calls[-1]}")
+
+    def test_initial_value_checked(self):
+        with pytest.raises(ValueError, match=(
+                r"^f returned 3 components for a state of 2 at xi = 0.0$")):
+            integrate(lambda t, y: [0.0] * 3, [1.0, 0.0],
+                      IntegrationConfig(xi_span=(0.0, 1.0)))
+
+    def test_probe_value_checked(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [0.0, 1.0] if len(calls) == 1 else [0.0]
+
+        with pytest.raises(ValueError, match="^f returned 1 components"):
+            integrate(rhs, [1.0, 0.0], IntegrationConfig(xi_span=(0.0, 1.0)))
+        assert len(calls) == 2
