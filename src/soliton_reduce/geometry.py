@@ -180,7 +180,8 @@ def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
     # The g term is diagonal: off the diagonal it would only add +-0.
     idx = np.arange(n)
     out[..., idx, idx] += _col(phi.value * lap - (n - 1) * grad2) * eps
-    return out / _col(np.square(phi.value), 2)
+    out /= _col(np.square(phi.value), 2)
+    return out
 
 
 def conformal_hessian(sig: Signature, phi: ScalarJet2,
@@ -191,7 +192,11 @@ def conformal_hessian(sig: Signature, phi: ScalarJet2,
     gp, gf = phi.gradient, f.gradient
     v = _col(phi.value)
     cross = np.einsum("...i,...j->...ij", gp, gf)
-    out = f.hessian + (cross + np.swapaxes(cross, -1, -2)) / v[..., None]
+    # f_,ij + (cross + cross^T) / phi, summed in one buffer: addition
+    # commutes, so the bits are those of the expression.
+    out = cross + np.swapaxes(cross, -1, -2)
+    out /= v[..., None]
+    out += f.hessian
     mixed = _sum_last(eps * gp * gf)
     # Diagonal: f_,ii + 2 phi_,i f_,i / phi - eps_i * sum_k eps_k phi_,k f_,k / phi
     idx = np.arange(sig.n)

@@ -74,8 +74,8 @@ def residual_soliton_tensor(sig: Signature, phi: ScalarJet2, f: ScalarJet2,
                             lam: float) -> np.ndarray:
     """Ric_gbar + Hess_gbar(f) - lambda * gbar via the geometric route,
     (..., n, n)."""
-    out = geometry.conformal_ricci(sig, phi) \
-        + geometry.conformal_hessian(sig, phi, f)
+    out = geometry.conformal_ricci(sig, phi)
+    out += geometry.conformal_hessian(sig, phi, f)
     # lambda * gbar is diagonal: off the diagonal it would only add +-0.
     idx = np.arange(sig.n)
     out[..., idx, idx] -= lam * sig.eps / _col(np.square(phi.value))

@@ -127,10 +127,14 @@ def _second_derivatives(p: SolitonProblem, power):
     ``np.float_power`` for arrays: both round like libm's pow, where numpy's
     ``**`` does not, so the float and array paths agree bit for bit."""
     check_null_direction(p)
-    two_tau, lam, n1, n2 = 2.0 * p.ansatz.tau, p.lam, p.n - 1, p.n - 2
+    # Float constants: an int operand would keep 3.11 from specialising the
+    # float products (numpy converts either way, so the bits are the same).
+    two_tau, lam = 2.0 * p.ansatz.tau, p.lam
+    n1, n2 = float(p.n - 1), float(p.n - 2)
+    two_n1 = 2.0 * n1
 
     def second(phi, dphi, df, big_t):
-        ddphi = ((lam - two_tau * phi * (2.0 * n1 * dphi + phi * df)) / big_t
+        ddphi = ((lam - two_tau * phi * (two_n1 * dphi + phi * df)) / big_t
                  + n1 * power(dphi, 2) + phi * dphi * df) / phi
         return ddphi, -(n2 * ddphi + 2.0 * dphi * df) / phi
     return second
@@ -175,10 +179,11 @@ def _special_slopes(p: SolitonProblem, sp: SpecialParams, power):
     n, c1, c2 = p.n, sp.c1, sp.c2
     four_tau, big_l, source = 4.0 * tau, p.lambda_constant, p.lam / (2.0 * tau)
     h_expo, f_expo = -((n - 2) / (n + 2)), -2.0 * n / (n + 2)
+    n1 = float(n - 1)  # a float divisor, as in _second_derivatives
 
     def slopes(xi, h):
         return ((c2 * (four_tau * xi + big_l) + source
-                 - c1 * power(h, h_expo)) / (n - 1), c1 * power(h, f_expo))
+                 - c1 * power(h, h_expo)) / n1, c1 * power(h, f_expo))
     return slopes
 
 

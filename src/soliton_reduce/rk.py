@@ -25,7 +25,9 @@ floats (numpy arrays work too, only slower), and a value of another
 length raises ValueError where it is returned. The trial step is
 straight-line code generated from the tableau once per state size ny:
 no loop, comprehension or numpy call per stage, and the same arithmetic
-as the componentwise loop, bit for bit.
+as the componentwise loop, bit for bit. Accepted steps' stages and node
+states are stored as packed native doubles in bytearrays, read back as
+arrays without a copy.
 
 Determinism: identical inputs produce bit-identical output (no randomness,
 no wall-clock dependence).
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -113,6 +116,8 @@ class IntegrationConfig:
             raise ValueError("xi_span must be non-degenerate")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
+        if self.first_step is not None and not self.first_step > 0:
+            raise ValueError("first_step must be None or positive")
 
 
 @dataclass
@@ -237,10 +242,15 @@ def _attempt(ny: int):
               "    except ValueError:",
               f"        check_length(k, {ny}, t + nodes[calls] * h)",
               "        raise"]
-    # A non-finite w comes with a non-finite error, so the step is
-    # rejected whatever max() makes of the scale.
-    lines += [f"    e{c} = h * ({combo(_E, c)}) / "
-              f"(atol + rtol * max(abs(y{c}), abs(w{c})))" for c in comps]
+    # The scale max(|y|, |w|) without builtin calls: max(a, b) keeps a
+    # unless b > a. The signs of a zero or a NaN may differ from abs()'s,
+    # which atol + rtol * s (atol > 0) cannot show. A non-finite w comes
+    # with a non-finite error, so the step is rejected whatever the scale.
+    for c in comps:
+        lines += [f"    a = y{c} if y{c} >= 0.0 else -y{c}",
+                  f"    b = w{c} if w{c} >= 0.0 else -w{c}",
+                  f"    e{c} = h * ({combo(_E, c)}) / "
+                  f"(atol + rtol * (b if b > a else a))"]
     total = " + ".join(f"e{c} * e{c}" for c in comps)
     stages = "".join(names(i) for i in range(len(_TABLEAU) + 1))
     lines.append(f"    return 6, y_new, sqrt(({total}) / {ny}), ({stages})")
@@ -288,29 +298,36 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
     k0 = f(t0, y)  # initial state must satisfy the RHS preconditions
     _check_length(k0, ny, t0)
 
-    # Nodes, and the signed length and seven stages of each accepted step.
-    ts, ys = array("d", [t0]), array("d", y)
-    hs, ks = array("d"), array("d")
+    # Nodes, and the signed length and seven stages of each accepted step;
+    # states and stages as packed native doubles.
+    pack_state = struct.Struct(f"{ny}d").pack
+    pack_stages = struct.Struct(f"{7 * ny}d").pack
+    ts, ys = array("d", [t0]), bytearray(pack_state(*y))
+    hs, ks = array("d"), bytearray()
     rtol, atol, max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
     span = abs(tf - t0)
-    n_fev = 1 if cfg.first_step else 2  # the initial state, the probe
-    h = cfg.first_step or _initial_step(f, t0, y, k0, direction, rtol, atol,
-                                        span)
+    if cfg.first_step is None:
+        n_fev = 2  # the initial state, the probe
+        h = _initial_step(f, t0, y, k0, direction, rtol, atol, span)
+    else:
+        n_fev, h = 1, cfg.first_step
     h = min(h, max_step, span)
     t = t0
     attempt = _attempt(ny)
+    expo = -1.0 / ORDER
     attempts = n_rejected = domain_failures = 0
     dense = None
 
     while True:
-        if (tf - t) * direction <= 1e-14 * max(1.0, abs(t)):
+        h_min = 1e-14 * max(1.0, abs(t))  # also the span's resolution at t
+        left = (tf - t) * direction
+        if left <= h_min:
             termination = Termination(kind="completed", xi_stop=t)
             break
         if attempts >= MAX_ATTEMPTS:
             termination = Termination(kind="step_budget", xi_stop=t,
                                       detail={"attempts": attempts})
             break
-        h_min = 1e-14 * max(1.0, abs(t))
         if not h >= h_min:  # a NaN step size underflows too
             if domain_failures >= 3:
                 # The RHS keeps failing arbitrarily close to the current
@@ -321,7 +338,11 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
                 )
                 break
             raise StepSizeUnderflow(f"step size {h:.3e} at xi = {t}")
-        h = min(h, max_step, abs(tf - t))
+        # min(h, max_step, |tf - t|): left > 0 is |tf - t| exactly.
+        if max_step < h:
+            h = max_step
+        if left < h:
+            h = left
         h_signed = direction * h
         attempts += 1
 
@@ -338,11 +359,11 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         # A non-finite trial state makes the norm NaN: reject, don't accept.
         if not err <= 1.0:
             n_rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / ORDER))
+            h *= max(_MIN_FACTOR, _SAFETY * err ** expo)
             continue
 
         hs.append(h_signed)
-        ks.extend(stages)
+        ks += pack_stages(*stages)
         t_new = t + h_signed
 
         # Event detection at the step endpoint (sign-based: events stay
@@ -351,9 +372,12 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         for ev in cfg.events:
             if ev.g(t_new, y_new) <= 0.0:
                 if dense is None:  # the run's, this step included
+                    # Views of ys and ks: none may outlive the call, or
+                    # the bytearrays cannot grow below (BufferError).
                     dense = _dense_output(
-                        np.append(ts, t_new), np.reshape(ys, (-1, ny)), hs,
-                        np.reshape(ks, (-1, 7, ny)))
+                        np.append(ts, t_new),
+                        np.frombuffer(ys).reshape(-1, ny), hs,
+                        np.frombuffer(ks).reshape(-1, 7, ny))
                     end = -1 if direction > 0.0 else 0
                     cols = dense.coeffs[:, end].T.tolist()
                 t_stop = _bisect_event(ev.g, cols, t, t_new)
@@ -362,11 +386,11 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
         if fired is not None:
             ev, t_stop = fired
             if t_stop == t:  # the locus lies within _EVENT_XTOL past t
-                del hs[-1], ks[-7 * ny:]
+                del hs[-1], ks[-7 * ny * 8:]  # one step: 7 ny doubles
                 dense = None
             else:
                 ts.append(t_stop)
-                ys.extend(power_sum(c, t_stop - t) for c in cols)
+                ys += pack_state(*[power_sum(c, t_stop - t) for c in cols])
                 dense.breaks[end] = t_stop
             termination = Termination(kind="event", event=ev.name,
                                       xi_stop=t_stop)
@@ -374,10 +398,11 @@ def integrate(f: Callable[[float, list[float]], Sequence[float]],
 
         t, y, k0 = t_new, y_new, stages[-ny:]
         ts.append(t)
-        ys.extend(y)
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-1.0 / ORDER)))
-        h = h * factor
+        ys += pack_state(*y)
+        # err <= 1 makes err ** expo >= 1, so the factor is at least
+        # _SAFETY > _MIN_FACTOR: only the upper bound can apply.
+        factor = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** expo
+        h = h * (factor if factor < _MAX_FACTOR else _MAX_FACTOR)
 
     ts_arr = np.frombuffer(ts)
     ys_arr = np.frombuffer(ys).reshape(-1, ny)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from operator import itemgetter
 
 import numpy as np
 
@@ -80,14 +79,6 @@ class SpecialProfile(_IntegratedProfile):
         return phi, dphi, ddphi, f, df, ddf
 
 
-def _blowup_event(components, threshold: float) -> Event:
-    pick = itemgetter(*components)  # a scalar for one component
-    if len(components) == 1:
-        return Event("field_blowup", lambda t, y: threshold - abs(pick(y)))
-    return Event("field_blowup",
-                 lambda t, y: threshold - max(map(abs, pick(y))))
-
-
 def reduced_events(p: SolitonProblem, initial: ReducedState,
                    blowup: float = DEFAULT_BLOWUP) -> tuple[Event, ...]:
     """Default stop conditions for the second-order system.
@@ -97,25 +88,25 @@ def reduced_events(p: SolitonProblem, initial: ReducedState,
     """
     # Thresholds sit at twice the RHS guards so events fire while the RHS
     # is still evaluable on the admissible side.
-    sign_phi = math.copysign(1.0, initial.phi)
-    events = [Event("phi_zero", lambda t, y: sign_phi * y[0] - 2.0 * TOL_PHI)]
-    tau = p.ansatz.tau
-    if tau != 0.0:
-        big_t0 = 4.0 * tau * initial.xi + p.lambda_constant
-        sign_t = math.copysign(1.0, big_t0)
+    sign_phi, phi_floor = math.copysign(1.0, initial.phi), 2.0 * TOL_PHI
+    events = [Event("phi_zero", lambda t, y: sign_phi * y[0] - phi_floor)]
+    four_tau, big_l = 4.0 * p.ansatz.tau, p.lambda_constant
+    if four_tau != 0.0:
+        sign_t = math.copysign(1.0, four_tau * initial.xi + big_l)
+        t_floor = 2.0 * TOL_SING
         events.append(Event(
             "singular_locus",
-            lambda t, y: sign_t * (4.0 * tau * t + p.lambda_constant)
-            - 2.0 * TOL_SING,
-        ))
-    events.append(_blowup_event((0, 1, 3), blowup))
+            lambda t, y: sign_t * (four_tau * t + big_l) - t_floor))
+    events.append(Event(
+        "field_blowup",
+        lambda t, y: blowup - max(abs(y[0]), abs(y[1]), abs(y[3]))))
     return tuple(events)
 
 
 def special_events(blowup: float = DEFAULT_BLOWUP) -> tuple[Event, ...]:
     return (
         Event("h_zero", lambda t, y: y[0] - TOL_H),
-        _blowup_event((0,), blowup),
+        Event("field_blowup", lambda t, y: blowup - abs(y[0])),
     )
 
 

@@ -245,11 +245,12 @@ def _residuals(p: SolitonProblem, xi: ScalarJet2,
     sig, lam = p.sig, p.lam
     # Both (i, j) and (j, i): they add the cross terms in opposite order,
     # so they can differ in the last bit.
-    off = _max_last(np.abs(pde.residual_offdiag(sig, phi, f)
-                           [..., ~np.eye(p.n, dtype=bool)]))
+    off = pde.residual_offdiag(sig, phi, f)[..., ~np.eye(p.n, dtype=bool)]
+    off = _max_last(np.abs(off, out=off))
     diag = _max_last(np.abs(pde.residual_diag(sig, phi, f, lam)))
     trace = np.abs(pde.residual_trace(sig, phi, f, lam))
-    tensor = np.abs(pde.residual_soliton_tensor(sig, phi, f, lam))
+    tensor = pde.residual_soliton_tensor(sig, phi, f, lam)
+    np.abs(tensor, out=tensor)
     tensor = _max_last(tensor.reshape(tensor.shape[:-2] + (-1,)))
     return (off, diag, trace, tensor), phi
 

@@ -2,6 +2,7 @@
 domain handling and determinism."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -203,6 +204,25 @@ class TestDenseOutput:
             assert np.all(np.abs(y - self.theta_eval(by_start[x0], t))
                           <= ulps)
 
+    @pytest.mark.parametrize("ny, events", [
+        (3, ()), (4, ()), (4, (Event("t_high", lambda t, y: 2.5 - t),))],
+        ids=["ny3", "ny4", "ny4_event"])
+    def test_nodes_are_accepted_states(self, ny, events, run_recorded):
+        # ts and ys come back from packed storage as float64, C-contiguous
+        # and writable, each row of ys the state an accepted step started
+        # from: a wrong struct format or byte count breaks the rows.
+        sol, steps = run_recorded(lambda: integrate(
+            coupled_rhs, [0.3 * c - 0.4 for c in range(ny)],
+            IntegrationConfig(xi_span=(0.0, 4.0), rel_tol=1e-8,
+                              abs_tol=1e-10, events=events)))
+        assert sol.termination.kind == ("event" if events else "completed")
+        assert sol.ys.shape == (len(sol.ts), ny) == (len(steps) + 1, ny)
+        for a in (sol.ts, sol.ys):
+            assert a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.writeable
+        assert sol.ts[:-1].tolist() == [step[0] for step in steps]
+        assert sol.ys[:-1].tolist() == [step[1] for step in steps]
+
     def test_derivative_is_rhs_at_step_starts(self):
         # On an increasing run each node but the last is served by the
         # piece of the step starting there, whose slope is f at the node.
@@ -378,6 +398,13 @@ class TestConfigValidation:
         # A NaN tolerance or max_step once passed the `<= 0` checks.
         with pytest.raises(ValueError):
             IntegrationConfig(xi_span=(0.0, 1.0), **{field: math.nan})
+
+    @pytest.mark.parametrize("first_step", [-0.1, math.nan, 0.0])
+    def test_bad_first_step(self, first_step):
+        # -0.1 and NaN once died at the first step as StepSizeUnderflow,
+        # and 0.0 silently chose the automatic first step.
+        with pytest.raises(ValueError, match="first_step"):
+            IntegrationConfig(xi_span=(0.0, 1.0), first_step=first_step)
 
     def test_fixed_step_removed(self):
         # The fixed-step mode is gone: fixed_step = 0.0 or 1e-300 never
@@ -579,6 +606,41 @@ class TestGeneratedAttempt:
         # A NaN norm, or an infinite one when only the last stage is
         # infinite: either way the step is rejected.
         assert not math.isfinite(out[0][2]) and not out[0][2] <= 1.0
+
+    @pytest.mark.parametrize("y0", [-0.0, 0.0, -2.0, math.nan, math.inf,
+                                    -math.inf])
+    @pytest.mark.parametrize("k", [-0.0, 0.0, math.nan, math.inf,
+                                   -math.inf])
+    @pytest.mark.parametrize("h", [0.1, -0.1])
+    def test_signed_zero_and_non_finite_states(self, y0, k, h):
+        # The generated norm takes max(|y|, |w|) by comparisons, not by
+        # max() and abs(): -0.0, NaN and +-inf in y and in the trial state
+        # w leave the state bits, the norm and the stages as the loop's.
+        def rhs(t, y):
+            return [k, 0.5 * y[1]]
+
+        y = [y0, 1.0]
+        out = [attempt(rhs, 0.3, y, rhs(0.3, y), h, 1e-6, 1e-9)
+               for attempt in (rk._attempt(2), loop_attempt)]
+        self.assert_same(*out, 2)
+        assert struct.pack("2d", *out[0][1]) == struct.pack("2d", *out[1][1])
+
+    def test_negative_zero_trial_state(self):
+        # Zero stages signed against their weights (b_4 < 0) make every
+        # term of w = -0.0 + h * sum_j b_j k_j a -0.0, so w = -0.0: the
+        # scale is -0.0 where abs() gives 0.0, and the norm is equal.
+        def rhs(t, y):
+            calls.append(t)
+            return [0.0 if len(calls) == 4 else -0.0, 1.0]
+
+        out = []
+        for attempt in (rk._attempt(2), loop_attempt):
+            calls = []
+            out.append(attempt(rhs, 0.0, [-0.0, 1.0], [-0.0, 1.0], 0.1,
+                               1e-6, 1e-9))
+        assert math.copysign(1.0, out[0][1][0]) == -1.0
+        self.assert_same(*out, 2)
+        assert out[0][2] == out[1][2] == 0.0
 
     def test_zero_weights_leave_stage_1_out(self):
         # b_1 = e_1 = 0: the loop never multiplies stage 1 into the new

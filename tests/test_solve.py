@@ -2,8 +2,10 @@
 reconstructed from node data."""
 
 import math
+import struct
 import subprocess
 import sys
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -23,7 +25,9 @@ from soliton_reduce import (
 )
 from soliton_reduce.ansatz import QuadricAnsatz
 from soliton_reduce.errors import EventAtStart, OutOfDomain, ProfileMalformed
-from soliton_reduce.solve import reduced_events
+from soliton_reduce.geometry import TOL_PHI
+from soliton_reduce.reduction import TOL_SING
+from soliton_reduce.solve import TOL_H, reduced_events, special_events
 
 
 def make_problem(n=3, tau=1.0, alpha=None, beta=None, lam=0.0, eps=None):
@@ -126,6 +130,58 @@ class TestSolveReduced:
             assert all(ev.g(xi_stop, prof.states[-1].tolist()) > 0.0
                        for ev in cfg.events)
         assert directions == {-1.0, 1.0}
+
+
+class TestEventValues:
+    """The stop conditions return their defining formulas' values bit for
+    bit, NaN, infinite and signed-zero components included."""
+
+    @staticmethod
+    def states(ny):
+        gen = rng(ny)
+        ys = gen.uniform(-3.0, 3.0, (50, ny)).tolist()
+        for c in range(ny):
+            for bad in (math.nan, math.inf, -math.inf, -0.0):
+                y = gen.uniform(-3.0, 3.0, ny).tolist()
+                y[c] = bad
+                ys.append(y)
+        ys.append([math.nan] * ny)
+        return ys
+
+    @staticmethod
+    def assert_bits(events, want, ts, ys):
+        assert [ev.name for ev in events] == list(want)
+        for ev in events:
+            for t in ts:
+                for y in ys:
+                    assert (struct.pack("d", ev.g(t, y))
+                            == struct.pack("d", want[ev.name](t, y)))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_reduced_events(self, side):
+        tau = -0.7
+        p = make_problem(n=3, tau=tau, alpha=[0.3, -0.2, 0.1],
+                         beta=[0.1, 0.4, -0.3], lam=-1.2)
+        big_l = p.lambda_constant
+        ini = ReducedState(xi=-big_l / (4.0 * tau) + side, phi=side * 1.3,
+                           dphi=0.2, f=0.0, df=-0.1)
+        sign_t = math.copysign(1.0, 4.0 * tau * ini.xi + big_l)
+        # The formulas as first written, reading p.lambda_constant per call.
+        want = {
+            "phi_zero": lambda t, y: side * y[0] - 2.0 * TOL_PHI,
+            "singular_locus": lambda t, y: sign_t * (
+                4.0 * tau * t + p.lambda_constant) - 2.0 * TOL_SING,
+            "field_blowup": lambda t, y: 1e5 - max(
+                map(abs, itemgetter(0, 1, 3)(y))),
+        }
+        ts = [ini.xi, 0.0, -big_l / (4.0 * tau), math.nan]
+        self.assert_bits(reduced_events(p, ini, blowup=1e5), want, ts,
+                         self.states(4))
+
+    def test_special_events(self):
+        want = {"h_zero": lambda t, y: y[0] - TOL_H,
+                "field_blowup": lambda t, y: 1e5 - abs(y[0])}
+        self.assert_bits(special_events(1e5), want, [0.5], self.states(2))
 
 
 def scan_problem(j):
