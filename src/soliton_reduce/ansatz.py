@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateAnsatz, DegenerateSamplePoint
-from .geometry import ScalarJet2, Signature, _sum_last
+from .geometry import ScalarJet2, Signature, _batch_major, _sum_last
 
 #: Denominators smaller than this flag a sample point as unusable.
 TOL_DENOM = 1e-12
@@ -87,12 +87,17 @@ def xi_jet(a: QuadricAnsatz, x: np.ndarray) -> ScalarJet2:
 def xi_jet_at(a: QuadricAnsatz, x: np.ndarray, value) -> ScalarJet2:
     """The 2-jet of xi at x (..., n) whose values `value` (...) are already
     computed: the gradient and Hessian of the ansatz around them. The
+    gradient is stored component-major, a view of an (n, ...) array; the
     Hessian, diagonal and the same at every point, is a read-only
     broadcast view."""
-    grad = 2.0 * a.tau * a.sig.eps * x + a.alpha
-    hess = np.broadcast_to(np.diag(2.0 * a.tau * a.sig.eps),
-                           x.shape + (a.n,))
-    return ScalarJet2._symmetric(value, grad, hess)
+    b = x.ndim - 1
+    unit = (a.n,) + (1,) * b
+    slope = 2.0 * a.tau * a.sig.eps
+    # order="C": the transposed x would otherwise make grad's rows strided.
+    grad = (np.multiply(slope.reshape(unit), x.transpose((b, *range(b))),
+                        order="C") + a.alpha.reshape(unit))
+    hess = np.broadcast_to(np.diag(slope), x.shape + (a.n,))
+    return ScalarJet2._symmetric(value, _batch_major(grad, 1), hess)
 
 
 def lambda_constant(a: QuadricAnsatz) -> float:

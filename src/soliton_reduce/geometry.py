@@ -65,7 +65,9 @@ class ScalarJet2:
     rule of :func:`soliton_reduce.profiles.compose` and the quadric's
     :func:`soliton_reduce.ansatz.xi_jet_at`, skip that step through
     :meth:`_symmetric`: for an exactly symmetric H, 0.5 * (H + H^T)
-    returns H bit for bit, so skipping it changes nothing.
+    returns H bit for bit, so skipping it changes nothing. They store
+    batch gradients, and compose its Hessians, component-major (see
+    :func:`_columns`).
     """
 
     value: float | np.ndarray
@@ -108,14 +110,31 @@ class ScalarJet2:
         return cls(value, np.zeros(n), np.zeros((n, n)))
 
 
-def _col(value, k: int = 1) -> np.ndarray:
-    """A per-point value with k trailing unit axes, to broadcast against
-    per-component arrays."""
-    return np.reshape(value, np.shape(value) + (1,) * k)
+def _columns(jet: ScalarJet2) -> tuple:
+    """The jet's value, and its gradient (n, ...) and Hessian (n, n, ...)
+    with the component axes first: g[i] and h[i, j] are per-point columns
+    shaped like the value. For the component-major jets of compose and
+    xi_jet_at they are the stored arrays, so each column is contiguous."""
+    g, h = jet.gradient, jet.hessian
+    b = g.ndim - 1
+    return (np.asarray(jet.value), g.transpose((b, *range(b))),
+            h.transpose((b, b + 1, *range(b))))
 
 
-def _diag(m: np.ndarray) -> np.ndarray:
-    return np.diagonal(m, axis1=-2, axis2=-1)
+def _batch_major(a: np.ndarray, k: int) -> np.ndarray:
+    """A view of `a` with its first k (component) axes moved last."""
+    return a.transpose((*range(k, a.ndim), *range(k)))
+
+
+def _tensor(n: int, entries: dict, shape: tuple) -> np.ndarray:
+    """The (..., n, n) tensor of the columns entries[i, j], each of the
+    batch shape; an entry whose (j, i) is absent fills both places."""
+    out = np.empty((n, n) + shape)
+    for (i, j), column in entries.items():
+        out[i, j] = column
+        if (j, i) not in entries:
+            out[j, i] = column
+    return _batch_major(out, 2)
 
 
 def _sum_last(a: np.ndarray):
@@ -138,13 +157,75 @@ def _max_last(a: np.ndarray):
     return out
 
 
-def _check_phi(phi: ScalarJet2) -> None:
-    small = np.abs(phi.value)
+def _check_phi(value) -> None:
+    small = np.abs(value)
     small = small[small < TOL_PHI]
     if small.size:
         raise DegenerateConformalFactor(
             f"|phi| = {small.min():.3e} below guard {TOL_PHI}"
         )
+
+
+# The formulas below are written once, per component, on the columns of
+# _columns, and each symmetric tensor is computed for i <= j only; the
+# public functions assemble their tensors from these entries. The
+# arithmetic is that of the broadcast (..., n, n) expressions in the
+# docstrings, term by term, so the bits are too: eps_k-weighted sums add
+# their terms to 0.0 in order k = 0..n-1 (the order of _sum_last), and
+# since eps_k = +-1, adding eps_k * t is adding or subtracting t.
+
+def _signed(eps, a, b):
+    """a + eps * b for eps = +-1."""
+    return a + b if eps > 0 else a - b
+
+
+def _eps_sum(eps, terms):
+    """sum_k eps_k * terms[k], from 0.0 in order."""
+    out = np.zeros(())
+    for e, t in zip(eps, terms):
+        out = _signed(e, out, t)
+    return out
+
+
+def _scalars(*values) -> list:
+    """Each value as a 0-d float array: numpy multiplies an array by one
+    faster than by a Python number, with the same bits."""
+    return [np.array(float(x)) for x in values]
+
+
+def _ricci_entries(sig: Signature, p: tuple) -> dict:
+    """Ric_ij, i <= j, of gbar from the columns p of the jet of phi."""
+    v, g, h = p
+    _check_phi(v)
+    n, eps = sig.n, sig.eps
+    n2, n1 = _scalars(n - 2, n - 1)
+    lap = _eps_sum(eps, (h[k, k] for k in range(n)))
+    grad2 = _eps_sum(eps, (g[k] * g[k] for k in range(n)))
+    c, d, v2 = n2 * v, v * lap - n1 * grad2, np.square(v)
+    out = {}
+    for i in range(n):
+        # The g term is diagonal: off the diagonal it would only add +-0.
+        out[i, i] = _signed(eps[i], c * h[i, i], d) / v2
+        for j in range(i + 1, n):
+            out[i, j] = c * h[i, j] / v2
+    return out
+
+
+def _hessian_entries(sig: Signature, p: tuple, q: tuple) -> dict:
+    """Hess_gbar(f)_ij, i <= j, from the columns p of phi's jet and q of
+    f's."""
+    (v, gp, _), (_, gf, hf) = p, q
+    _check_phi(v)
+    n, eps = sig.n, sig.eps
+    (two,) = _scalars(2.0)
+    mixed = _eps_sum(eps, (gp[k] * gf[k] for k in range(n))) / v
+    out = {}
+    for i in range(n):
+        out[i, i] = _signed(-eps[i], hf[i, i] + two * gp[i] * gf[i] / v,
+                            mixed)
+        for j in range(i + 1, n):
+            out[i, j] = (gp[i] * gf[j] + gp[j] * gf[i]) / v + hf[i, j]
+    return out
 
 
 def conformal_christoffel(sig: Signature, phi: ScalarJet2) -> np.ndarray:
@@ -154,13 +235,13 @@ def conformal_christoffel(sig: Signature, phi: ScalarJet2) -> np.ndarray:
         (eps_i eps_k delta_ij phi_,k - delta_ki phi_,j - delta_kj phi_,i)
         / phi.
     """
-    _check_phi(phi)
+    _check_phi(phi.value)
     eps, gp = sig.eps, phi.gradient
     eye = np.eye(sig.n)
     gamma = ((eps * gp)[..., :, None, None] * np.diag(eps)
              - eye[:, :, None] * gp[..., None, None, :]
              - eye[:, None, :] * gp[..., None, :, None])
-    return gamma / _col(phi.value, 3)
+    return gamma / np.reshape(phi.value, np.shape(phi.value) + (1, 1, 1))
 
 
 def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
@@ -169,40 +250,25 @@ def conformal_ricci(sig: Signature, phi: ScalarJet2) -> np.ndarray:
     Ric = (1/phi^2) * { (n-2) phi Hess_g(phi)
                         + [phi lap_g(phi) - (n-1)|grad_g phi|^2] g }
     with the flat-background Hessian, Laplacian and gradient norm taken
-    with eps-weights.
+    with eps-weights:
+
+        ((n-2) phi phi_,ij + delta_ij eps_i [phi sum_k eps_k phi_,kk
+                       - (n-1) sum_k eps_k phi_,k^2]) / phi^2.
     """
-    _check_phi(phi)
-    eps = sig.eps
-    n = sig.n
-    lap = _sum_last(eps * _diag(phi.hessian))
-    grad2 = _sum_last(eps * phi.gradient ** 2)
-    out = (n - 2) * _col(phi.value, 2) * phi.hessian
-    # The g term is diagonal: off the diagonal it would only add +-0.
-    idx = np.arange(n)
-    out[..., idx, idx] += _col(phi.value * lap - (n - 1) * grad2) * eps
-    out /= _col(np.square(phi.value), 2)
-    return out
+    return _tensor(sig.n, _ricci_entries(sig, _columns(phi)),
+                   np.shape(phi.value))
 
 
 def conformal_hessian(sig: Signature, phi: ScalarJet2,
                       f: ScalarJet2) -> np.ndarray:
-    """Covariant Hessian of f in the metric gbar = g/phi^2, (..., n, n)."""
-    _check_phi(phi)
-    eps = sig.eps
-    gp, gf = phi.gradient, f.gradient
-    v = _col(phi.value)
-    cross = np.einsum("...i,...j->...ij", gp, gf)
-    # f_,ij + (cross + cross^T) / phi, summed in one buffer: addition
-    # commutes, so the bits are those of the expression.
-    out = cross + np.swapaxes(cross, -1, -2)
-    out /= v[..., None]
-    out += f.hessian
-    mixed = _sum_last(eps * gp * gf)
-    # Diagonal: f_,ii + 2 phi_,i f_,i / phi - eps_i * sum_k eps_k phi_,k f_,k / phi
-    idx = np.arange(sig.n)
-    out[..., idx, idx] = (_diag(f.hessian) + 2.0 * gp * gf / v
-                          - eps * _col(mixed) / v)
-    return out
+    """Covariant Hessian of f in the metric gbar = g/phi^2, (..., n, n):
+
+        f_,ij + (phi_,i f_,j + phi_,j f_,i) / phi    (i != j),
+        f_,ii + 2 phi_,i f_,i / phi - eps_i sum_k eps_k phi_,k f_,k / phi.
+    """
+    return _tensor(sig.n,
+                   _hessian_entries(sig, _columns(phi), _columns(f)),
+                   np.shape(phi.value))
 
 
 def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float | np.ndarray:
@@ -210,12 +276,13 @@ def scalar_curvature(sig: Signature, phi: ScalarJet2) -> float | np.ndarray:
 
     R = sum_k eps_k [2(n-1) phi phi_,kk - n(n-1) phi_,k^2].
     """
-    _check_phi(phi)
-    eps = sig.eps
+    v, g, h = _columns(phi)
+    _check_phi(v)
     n = sig.n
-    return _sum_last(eps * (2.0 * (n - 1) * _col(phi.value)
-                            * _diag(phi.hessian)
-                            - n * (n - 1) * phi.gradient ** 2))
+    a, b = _scalars(2.0 * (n - 1), n * (n - 1))
+    a = a * v
+    return _eps_sum(sig.eps, (a * h[k, k] - b * (g[k] * g[k])
+                                for k in range(n)))
 
 
 def laplacian(sig: Signature, phi: ScalarJet2,
@@ -224,9 +291,10 @@ def laplacian(sig: Signature, phi: ScalarJet2,
 
     Expands to sum_k eps_k [phi^2 f_,kk - (n-2) phi phi_,k f_,k].
     """
-    _check_phi(phi)
-    eps = sig.eps
+    (v, gp, _), (_, gf, hf) = _columns(phi), _columns(f)
+    _check_phi(v)
     n = sig.n
-    v = _col(phi.value)
-    return _sum_last(eps * (np.square(v) * _diag(f.hessian)
-                            - (n - 2) * v * phi.gradient * f.gradient))
+    (n2,) = _scalars(n - 2)
+    v2, a = np.square(v), n2 * v
+    return _eps_sum(sig.eps, (v2 * hf[k, k] - a * gp[k] * gf[k]
+                              for k in range(n)))

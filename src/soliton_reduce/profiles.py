@@ -24,7 +24,7 @@ import numpy as np
 
 from .ansatz import QuadricAnsatz, xi_jet
 from .errors import OutOfDomain
-from .geometry import ScalarJet2
+from .geometry import ScalarJet2, _batch_major, _columns, _tensor
 
 
 @dataclass(frozen=True)
@@ -161,22 +161,38 @@ def lift(a: QuadricAnsatz, prof: Profile,
     return compose(xi, [v.reshape(shape) for v in data])
 
 
-def compose(xi: ScalarJet2, data) -> tuple[ScalarJet2, ScalarJet2]:
-    """Jets of phi(xi) and f(xi) by the chain rule, from the jet of xi and
-    the profile data (phi, dphi, ddphi, f, df, ddf) at its value.
-
-    phi_,i = phi' xi_,i and phi_,ij = phi'' xi_,i xi_,j + phi' xi_,ij, with
-    the analogous formulas for f.
-    """
-    u = xi.gradient
-    uu = np.einsum("...i,...j->...ij", u, u)
+def _compose_columns(xi: ScalarJet2, data) -> list[tuple]:
+    """The chain rule of :func:`compose`, per component: for each field
+    the value, the gradient (n, ...) and the Hessian entries i <= j as a
+    dict {(i, j): column}, the columns of geometry._columns."""
+    _, u, hxi = _columns(xi)
+    n = len(u)
+    uu = {(i, j): u[i] * u[j] for i in range(n) for j in range(i, n)}
 
     def jet(value, d1, d2):
-        # u_i u_j = u_j u_i and Hess xi is symmetric, so the Hessian is too.
-        d1 = d1[..., None]
-        h = d2[..., None, None] * uu
-        h += d1[..., None] * xi.hessian
-        return ScalarJet2._symmetric(value, d1 * u, h)
+        h = {key: d2 * column for key, column in uu.items()}
+        for k in range(n):
+            h[k, k] = h[k, k] + d1 * hxi[k, k]
+        return np.asarray(value), d1 * u, h
 
-    phi, dphi, ddphi, f, df, ddf = data
-    return jet(phi, dphi, ddphi), jet(f, df, ddf)
+    return [jet(*data[i:i + 3]) for i in range(0, len(data), 3)]
+
+
+def compose(xi: ScalarJet2, data) -> tuple[ScalarJet2, ...]:
+    """Jets of phi(xi) and f(xi) by the chain rule, from the jet of xi and
+    the profile data (phi, dphi, ddphi, f, df, ddf) at its value; of phi
+    alone from its first three rows.
+
+    phi_,i = phi' xi_,i and phi_,ij = phi'' xi_,i xi_,j + phi' xi_,ij, with
+    the analogous formulas for f. Only the diagonal of Hess xi is read: a
+    quadric's Hessian is diagonal, so the off-diagonal phi' xi_,ij are
+    zeros, left out. The jets are stored component-major, their gradient
+    a view of an (n, ...) array and their Hessian of an (n, n, ...) one,
+    so that each component is one contiguous column.
+    """
+    n, shape = xi.n, np.shape(xi.value)
+    # u_i u_j = u_j u_i and Hess xi is diagonal, so the Hessians are
+    # symmetric.
+    return tuple(ScalarJet2._symmetric(value, _batch_major(g, 1),
+                                       _tensor(n, h, shape))
+                 for value, g, h in _compose_columns(xi, data))

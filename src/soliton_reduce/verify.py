@@ -9,6 +9,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from . import geometry, pde
 from .ansatz import xi_jet, xi_jet_at, xi_values
 from .errors import OutOfDomain, SamplingExhausted, StencilOutOfDomain
 from .geometry import ScalarJet2, _max_last
-from .profiles import Profile, compose
+from .profiles import Profile, _compose_columns, compose
 from .reduction import TOL_SING, SolitonProblem
 
 DEFAULT_THRESHOLD = 1e-8
@@ -34,6 +35,10 @@ RATE_BASE_STEP = 1e-2
 
 #: Largest sampling seed: np.random.Philox takes a 128-bit key.
 MAX_SEED = 2 ** 128 - 1
+
+#: The first random batch holds ceil(FIRST_BATCH * count) draws, enough
+#: for one batch to fill the sample at acceptances down to 2/3.
+FIRST_BATCH = 1.5
 
 
 def _check_integer(name: str, value) -> None:
@@ -60,8 +65,9 @@ class SampleSpec:
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must be in [0, 2**128 - 1]")
         for lo, hi in self.box:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("box bounds must be finite")
+            if not (math.isfinite(lo) and math.isfinite(hi)
+                    and math.isfinite(hi - lo)):
+                raise ValueError("box bounds and widths must be finite")
             if not lo < hi:
                 raise ValueError("box intervals must be non-degenerate")
         if self.mode not in ("random", "grid"):
@@ -79,6 +85,12 @@ class OracleGap:
     gap: float
     step: float
     rate: float
+
+
+def _finite_or_none(value):
+    """None for a float that is not finite; any other value as it is."""
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
 
 
 @dataclass(frozen=True)
@@ -99,6 +111,9 @@ class ResidualReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
+        """The report as JSON data. A value that is not finite, such as a
+        residual that overflowed or an exact oracle's rate, is None (JSON
+        null); the verdict of a non-finite maximum is "fail"."""
         d = {
             "max_offdiag": self.max_offdiag,
             "max_diag": self.max_diag,
@@ -109,14 +124,13 @@ class ResidualReport:
             "threshold": self.threshold,
             "verdict": self.verdict,
             "oracle_gap": None if self.oracle_gap is None else {
-                "gap": self.oracle_gap.gap,
+                "gap": _finite_or_none(self.oracle_gap.gap),
                 "step": self.oracle_gap.step,
-                "rate": self.oracle_gap.rate
-                if math.isfinite(self.oracle_gap.rate) else None,
+                "rate": _finite_or_none(self.oracle_gap.rate),
             },
         }
         d.update(self.extras)
-        return d
+        return {k: _finite_or_none(v) for k, v in d.items()}
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("indent", 2)
@@ -170,7 +184,7 @@ def _screen(p: SolitonProblem, prof: Profile, spec: SampleSpec,
     good = np.all(np.isfinite(data), axis=0) \
         & (np.abs(data[0]) >= max(spec.exclusion_phi, geometry.TOL_PHI))
     ok[ok] = good
-    return xs[ok], xis[ok], data[:, good]
+    return xs[ok], xis[ok], np.compress(good, data, axis=1)
 
 
 def _sample(p: SolitonProblem, prof: Profile,
@@ -186,7 +200,7 @@ def _sample(p: SolitonProblem, prof: Profile,
         return sample
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     lo = np.array([b[0] for b in spec.box])
-    hi = np.array([b[1] for b in spec.box])
+    width = np.array([b[1] for b in spec.box]) - lo
     batches: list[tuple[np.ndarray, ...]] = []
     n_accepted = 0
     max_draws = 200 * spec.count
@@ -197,7 +211,7 @@ def _sample(p: SolitonProblem, prof: Profile,
                 f"{n_accepted}/{spec.count} points after {drawn} draws"
             )
         short = spec.count - n_accepted
-        size = spec.count
+        size = spec.count if drawn else math.ceil(FIRST_BATCH * spec.count)
         if n_accepted:
             # Enough draws to meet the shortfall at the acceptance seen so
             # far with four binomial standard deviations (each at most
@@ -205,8 +219,10 @@ def _sample(p: SolitonProblem, prof: Profile,
             size = min(size, math.ceil((short + 4.0 * math.sqrt(short))
                                        * drawn / n_accepted))
         size = min(size, max_draws - drawn)
+        # Generator.uniform(lo, hi) draws lo + (hi - lo) * random() too, bit
+        # for bit, but steps through its array bounds one draw at a time.
         xs, xis, data = _screen(p, prof, spec,
-                                rng.uniform(lo, hi, size=(size, p.n)))
+                                lo + width * rng.random((size, p.n)))
         drawn += size
         batches.append((xs[:short], xis[:short], data[:, :short]))
         n_accepted += len(batches[-1][0])
@@ -221,9 +237,10 @@ def draw_points(p: SolitonProblem, prof: Profile,
 
     Grid mode keeps every admissible point of the full grid. Random draws
     use the counter-based Philox generator keyed by the seed and keep
-    admissible points in draw order. The first batch holds `count` draws;
-    each later one is sized from the shortfall and the acceptance seen so
-    far, capped at `count` and at the 200 * `count` draw budget. Philox is
+    admissible points in draw order. The first batch holds
+    ceil(FIRST_BATCH * `count`) draws; each later one is sized from the
+    shortfall and the acceptance seen so far, capped at `count`, and every
+    batch at the 200 * `count` draw budget. Philox is
     one stream whatever the batch sizes, so the points are those that
     batches of `count` would keep; reports are reproducible and
     independent of evaluation order.
@@ -236,23 +253,23 @@ def draw_points(p: SolitonProblem, prof: Profile,
 # ---------------------------------------------------------------------------
 
 def _residuals(p: SolitonProblem, xi: ScalarJet2,
-               data) -> tuple[tuple[np.ndarray, ...], ScalarJet2]:
+               data) -> tuple[np.ndarray, ...]:
     """Per-point max-abs residuals of the four families (off-diagonal and
     diagonal scalar equations, trace identity, tensor equation) from the
     jet of xi and the profile data (phi, dphi, ddphi, f, df, ddf) at its
-    value; also the jet of phi."""
-    phi, f = compose(xi, data)
-    sig, lam = p.sig, p.lam
-    # Both (i, j) and (j, i): they add the cross terms in opposite order,
-    # so they can differ in the last bit.
-    off = pde.residual_offdiag(sig, phi, f)[..., ~np.eye(p.n, dtype=bool)]
-    off = _max_last(np.abs(off, out=off))
-    diag = _max_last(np.abs(pde.residual_diag(sig, phi, f, lam)))
-    trace = np.abs(pde.residual_trace(sig, phi, f, lam))
-    tensor = pde.residual_soliton_tensor(sig, phi, f, lam)
-    np.abs(tensor, out=tensor)
-    tensor = _max_last(tensor.reshape(tensor.shape[:-2] + (-1,)))
-    return (off, diag, trace, tensor), phi
+    value, reduced entry by entry: no (..., n, n) tensor is formed."""
+    n, (phi, f) = p.n, _compose_columns(xi, data)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return (_max_abs(pde._offdiag_entries(n, phi, f, pairs).values()),
+            _max_abs(pde._diag_entries(p.sig, phi, f, p.lam)),
+            np.abs(pde._trace_entry(p.sig, phi, f, p.lam)),
+            _max_abs(pde._tensor_entries(p.sig, phi, f, p.lam).values()))
+
+
+def _max_abs(columns) -> np.ndarray:
+    """Per-point max of |column| over the columns, through np.maximum,
+    which propagates NaN as np.max does."""
+    return functools.reduce(np.maximum, map(np.abs, columns))
 
 
 def residual_maxima(p: SolitonProblem, prof: Profile,
@@ -262,8 +279,7 @@ def residual_maxima(p: SolitonProblem, prof: Profile,
     identity and the tensor equation. Also returns phi and phi'' there."""
     xi = xi_jet(p.ansatz, xs)
     data = prof.evaluate(xi.value)
-    maxima, _ = _residuals(p, xi, data)
-    return (*maxima, data[0], data[2])
+    return (*_residuals(p, xi, data), data[0], data[2])
 
 
 def residual_scale(lam: float, phi: np.ndarray, ddphi: np.ndarray) -> float:
@@ -284,7 +300,7 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
     if oracle_points < 0:
         raise ValueError(f"oracle_points must be >= 0, got {oracle_points}")
     xs, xis, data = _sample(p, prof, spec)
-    (off, diag, trace, tensor), phi = _residuals(
+    off, diag, trace, tensor = _residuals(
         p, xi_jet_at(p.ansatz, xs, xis), data)
     scale = residual_scale(p.lam, data[0], data[2])
     maxima = {
@@ -296,7 +312,8 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
     verdict = "pass" if all(v <= threshold for v in maxima.values()) \
         else "fail"
 
-    gap = _profile_oracle_gap(p, prof, xs[:oracle_points], phi)
+    gap = _profile_oracle_gap(p, prof, xs[:oracle_points],
+                              xis[:oracle_points], data[:3, :oracle_points])
     return ResidualReport(
         **maxima,
         scale=scale,
@@ -314,10 +331,10 @@ def verify_profile(p: SolitonProblem, prof: Profile, spec: SampleSpec,
 
 
 def _profile_oracle_gap(p: SolitonProblem, prof: Profile, xs: np.ndarray,
-                        phi: ScalarJet2) -> OracleGap | None:
+                        xis: np.ndarray, data) -> OracleGap | None:
     """Compare the FD Ricci of gbar at the points xs (k, n) with the
-    analytic conformal formula, applied to the first k rows of `phi`, the
-    jet of phi at the sample points that start with xs.
+    analytic conformal formula, applied to the jet of phi composed from xi
+    there (xis) and the rows (phi, dphi, ddphi) of the profile data at xi.
 
     Points whose stencil leaves the profile's domain, or meets a point
     where the profile is not evaluable, are skipped.
@@ -329,9 +346,9 @@ def _profile_oracle_gap(p: SolitonProblem, prof: Profile, xs: np.ndarray,
     ok = np.flatnonzero(~np.isnan(rates))
     if not len(ok):
         return None
-    phi = ScalarJet2(phi.value[ok], phi.gradient[ok], phi.hessian[ok])
-    gaps = np.max(np.abs(ricci_fd[ok] - geometry.conformal_ricci(p.sig, phi)),
-                  axis=(-2, -1))
+    (phi,) = compose(xi_jet_at(p.ansatz, xs[ok], xis[ok]), data[:, ok])
+    gaps = np.abs(ricci_fd[ok] - geometry.conformal_ricci(p.sig, phi))
+    gaps = _max_last(gaps.reshape(len(ok), -1))
     worst = int(np.argmax(gaps))
     return OracleGap(gap=float(gaps[worst]), step=ORACLE_STEP,
                      rate=float(rates[ok][worst]))

@@ -375,6 +375,39 @@ class TestGalleryConfig:
                             parse_constant=reject)
         assert report["oracle_gap"]["rate"] is None
 
+    def test_overflowing_residuals_report_null(self, tmp_path, capsys):
+        # dphi * 1e160 is finite, so the profile loads, but the residuals
+        # overflow: report.json once failed to be written, with a
+        # traceback, for their "Infinity".
+        assert main(["gallery", "emit", "cigar", "--xi-span", "0", "8",
+                     "--out", str(tmp_path)]) == 0
+        cfg = json.loads((tmp_path / "cigar_summary.json").read_text())
+        cfg = cfg["config"]
+        cfg["sample"]["box"] = [[-2.0, 2.0]] * 2
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        lines = (tmp_path / "cigar_profile.csv").read_text().splitlines()
+        for i in range(2, len(lines)):
+            parts = lines[i].split(",")
+            parts[2] = repr(float(parts[2]) * 1e160)
+            lines[i] = ",".join(parts)
+        (tmp_path / "huge.csv").write_text("\n".join(lines) + "\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["verify", str(tmp_path / "cfg.json"),
+                         str(tmp_path / "huge.csv"), "--out", str(tmp_path)])
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["verdict"] == "fail"
+        assert report["max_tensor"] is None and report["mean_tensor"] is None
+        assert report["oracle_gap"]["gap"] is None
+        assert math.isfinite(report["max_offdiag"])
+        assert math.isfinite(report["scale"])
+        assert "verdict: fail" in capsys.readouterr().out
+
     def test_config_dimension_must_match_entry(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", mode="gallery:space_form")
         assert main(["solve", str(cfg), "--out", str(tmp_path)]) == 2
@@ -516,6 +549,13 @@ class TestErrorExitCodes:
         assert main(["verify", str(grid), prof, "--points", "3",
                      "--out", str(tmp_path)]) == 2
         assert "sample: grid mode needs" in capsys.readouterr().err
+        # Finite bounds whose width overflows made numpy's uniform draws
+        # raise OverflowError.
+        wide = write_config(tmp_path / "wide.json", sample={
+            "box": [[-1e308, 1e308], [-2.0, 2.0]]})
+        assert main(["verify", str(wide), prof, "--out", str(tmp_path)]) == 2
+        assert "sample: box bounds and widths must be finite" in \
+            capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("override, field", [

@@ -5,11 +5,14 @@ symbols of the FD oracle and the per-point maxima of verify_profile."""
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+import soliton_reduce as sr
 from conftest import random_ansatz, random_signature, rng
 from soliton_reduce import (
     SampleSpec,
     ScalarJet2,
     Signature,
+    SolitonProblem,
     gallery,
     residual_diag,
     residual_offdiag,
@@ -17,14 +20,16 @@ from soliton_reduce import (
     residual_trace,
     verify_profile,
 )
-from soliton_reduce.ansatz import xi_jet, xi_jet_at, xi_values
+from soliton_reduce.ansatz import QuadricAnsatz, xi_jet, xi_jet_at, xi_values
 from soliton_reduce.geometry import _max_last, _sum_last
 from soliton_reduce.profiles import compose, lift
 from soliton_reduce.verify import (
     _central,
     _christoffel,
     _lead,
+    _residuals,
     draw_points,
+    residual_maxima,
     residual_scale,
 )
 
@@ -206,3 +211,110 @@ class TestResidualMaxima:
         for name, values in families.items():
             assert report[f"max_{name}"] == float(np.max(values)) / scale
             assert report[f"mean_{name}"] == float(np.mean(values)) / scale
+
+
+def indefinite_signature(gen, n):
+    """A random signature with both signs."""
+    eps = np.where(gen.uniform(size=n) < 0.5, -1.0, 1.0)
+    eps[gen.permutation(n)[:2]] = [1.0, -1.0]
+    return Signature(eps)
+
+
+def profile_data(gen, m, scale=1.0):
+    """Rows (phi, dphi, ddphi, f, df, ddf) over many magnitudes, phi kept
+    away from zero; a large scale makes the products overflow."""
+    data = gen.standard_normal((6, m)) * 10.0 ** gen.integers(-3, 4, (6, m))
+    data[0] = np.where(data[0] < 0, -1.0, 1.0) * gen.uniform(0.1, 5.0, m)
+    return data * scale
+
+
+def built_jets(gen, n, batch, zeros):
+    """Two jets built by hand from C-ordered (..., n, n) arrays; with
+    `zeros`, about a third of the gradient components are exactly 0."""
+    jets = []
+    for _ in range(2):
+        value = np.where(gen.uniform(size=batch) < 0.5, -1.0, 1.0) \
+            * gen.uniform(0.2, 3.0, batch)
+        grad = gen.standard_normal(batch + (n,))
+        if zeros:
+            grad[gen.uniform(size=grad.shape) < 0.3] = 0.0
+        hess = gen.standard_normal(batch + (n, n))
+        jets.append(ScalarJet2(value if batch else float(value), grad, hess))
+    return jets
+
+
+def public_results(lib, sig, lam, phi, f):
+    """Every public tensor (and scalar) formula of `lib`."""
+    return [lib.conformal_ricci(sig, phi),
+            lib.conformal_hessian(sig, phi, f),
+            lib.scalar_curvature(sig, phi),
+            lib.laplacian(sig, phi, f),
+            lib.residual_offdiag(sig, phi, f),
+            lib.residual_diag(sig, phi, f, lam),
+            lib.residual_trace(sig, phi, f, lam),
+            lib.residual_soliton_tensor(sig, phi, f, lam)]
+
+
+class TestComponentKernels:
+    """The per-component kernels equal the frozen broadcast formulas of
+    reference_kernels, up to the sign of zero: every public formula, and
+    the per-point maxima of verify's residual pass."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("kind", ["finite", "zero-gradient", "overflow"])
+    def test_composed_jets(self, n, kind):
+        gen = rng(300 + 10 * n + len(kind))
+        sig = indefinite_signature(gen, n)
+        lam = float(gen.uniform(-3.0, 3.0))
+        a = random_ansatz(gen, sig)
+        xs = gen.uniform(-2.0, 2.0, (257, n))
+        if kind == "zero-gradient":
+            # alpha = 0 and x_k = 0 make xi_,k = 2 tau eps_k x_k exactly 0.
+            a = QuadricAnsatz(a.tau or 1.0, np.zeros(n), a.beta, sig)
+            xs[gen.uniform(size=xs.shape) < 0.3] = 0.0
+        xi = xi_jet(a, xs)
+        data = profile_data(gen, len(xs),
+                            1e160 if kind == "overflow" else 1.0)
+        p = SolitonProblem(sig, a, lam)
+        with np.errstate(all="ignore"):
+            jets, want = compose(xi, data), ref.compose(xi, data)
+            for jet, old in zip(jets, want):
+                # Hess xi is diagonal: compose leaves out the phi' * 0 off
+                # its diagonal, which changes only the sign of zero.
+                for name in ("value", "gradient", "hessian"):
+                    assert_same(getattr(jet, name), getattr(old, name))
+            for got, old in zip(public_results(sr, sig, lam, *jets),
+                                public_results(ref, sig, lam, *want)):
+                assert_same(got, old)
+            maxima = _residuals(p, xi, data)
+            for got, old in zip(maxima, ref.residual_maxima(sig, lam, *want)):
+                assert_same(got, old)
+        if kind == "zero-gradient":
+            assert np.sum(xi.gradient == 0.0) > 100
+        if kind == "overflow":
+            assert not np.all(np.isfinite(maxima[3]))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("batch", [(), (1,), (257,), (6, 9)])
+    def test_built_jets(self, n, batch):
+        gen = rng(500 + 10 * n + len(batch))
+        sig = indefinite_signature(gen, n)
+        lam = float(gen.uniform(-3.0, 3.0))
+        for zeros in (False, True):
+            phi, f = built_jets(gen, n, batch, zeros)
+            for got, old in zip(public_results(sr, sig, lam, phi, f),
+                                public_results(ref, sig, lam, phi, f)):
+                assert_same(got, old)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_residual_maxima(self, case):
+        entry = CASES[case]()
+        p, prof = entry.problem, entry.profile
+        xs = draw_points(p, prof, SampleSpec(box=[(-2.0, 2.0)] * p.n,
+                                             count=300, seed=5,
+                                             exclusion_phi=1e-2))
+        xi = xi_jet(p.ansatz, xs)
+        want = ref.residual_maxima(p.sig, p.lam, *ref.compose(
+            xi, prof.evaluate(xi.value)))
+        for got, old in zip(residual_maxima(p, prof, xs), want):
+            assert_same(got, old)

@@ -18,6 +18,7 @@ from soliton_reduce import (
     gallery,
     verify_profile,
 )
+from soliton_reduce import verify
 from soliton_reduce import (
     IntegrationConfig,
     ReducedState,
@@ -119,6 +120,8 @@ class TestSampling:
         dict(box=[(-2.0, math.inf), (-1.0, 1.0)]),
         dict(box=[(-math.inf, 2.0), (-1.0, 1.0)]),
         dict(box=[(-2.0, 2.0), (math.nan, 1.0)]),
+        # Finite bounds whose width hi - lo overflows.
+        dict(box=[(-1e308, 1e308), (-1.0, 1.0)]),
     ])
     def test_spec_rejects_bad_fields(self, fields):
         # Caught at construction: draw_points would otherwise fail inside
@@ -312,6 +315,16 @@ class CountingProfile(Profile):
         return self.inner.evaluate(xis)
 
 
+class FirstCallOnly(CountingProfile):
+    """Evaluates the first call; NaN everywhere after it."""
+
+    def evaluate(self, xis):
+        data = super().evaluate(xis)
+        if len(self.calls) == 1:
+            return data
+        return tuple(np.full(np.shape(xis), np.nan) for _ in data)
+
+
 class TestSinglePass:
     """verify_profile screens, evaluates and lifts each point once; what it
     reports is what the public steps compose to."""
@@ -350,16 +363,11 @@ class TestSinglePass:
             draw_points(entry.problem, entry.profile, spec)
         assert str(got.value) == str(ref.value)
 
-    def test_budget_holds_when_acceptance_falls(self):
-        # 9 of the first 10 draws pass, none after: follow-up batches of 6,
-        # 9, then 10 draws, the last cut to end at exactly 200 * count.
-        class FirstCallOnly(CountingProfile):
-            def evaluate(self, xis):
-                data = super().evaluate(xis)
-                if len(self.calls) == 1:
-                    return data
-                return tuple(np.full(np.shape(xis), np.nan) for _ in data)
-
+    def test_budget_holds_when_acceptance_falls(self, monkeypatch):
+        # With a first batch of count draws, 9 of the first 10 draws pass,
+        # none after: follow-up batches of 6, 9, then 10 draws, the last
+        # cut to end at exactly 200 * count.
+        monkeypatch.setattr(verify, "FIRST_BATCH", 1.0)
         entry = gallery("cigar")
         spec = cigar_spec(count=10, seed=4, exclusion_phi=1.2)
         prof = FirstCallOnly(entry.profile)
@@ -368,6 +376,62 @@ class TestSinglePass:
             draw_points(entry.problem, prof, spec)
         assert [c.size for c in prof.calls[:3]] == [10, 6, 9]
         assert sum(c.size for c in prof.calls) == 2000
+
+    def test_budget_holds_after_the_default_first_batch(self):
+        # 8 of the first 15 draws pass, none after: follow-up batches of
+        # 10 draws, the last cut to 5 to end at exactly 200 * count.
+        entry = gallery("cigar")
+        spec = cigar_spec(count=10, seed=4, exclusion_phi=2.0)
+        prof = FirstCallOnly(entry.profile)
+        with pytest.raises(SamplingExhausted,
+                           match=r"^8/10 points after 2000 draws$"):
+            draw_points(entry.problem, prof, spec)
+        sizes = [c.size for c in prof.calls]
+        assert sizes[:3] == [15, 10, 10] and sizes[-1] == 5
+        assert sum(sizes) == 2000
+
+    @pytest.mark.parametrize("first", ["count", "1.5 count", "count + 1"])
+    @pytest.mark.parametrize("case", ["cigar", "low-acceptance",
+                                      "exhausted"])
+    def test_first_batch_size_changes_no_point(self, monkeypatch, first,
+                                                case):
+        # Philox is one stream whatever the batch sizes: the points kept,
+        # or the exhaustion message, are those of batches of count.
+        entry = gallery("cigar")
+        spec = {"cigar": cigar_spec(count=300, seed=5),
+                "low-acceptance": cigar_spec(count=40, seed=3,
+                                             exclusion_phi=2.6),
+                "exhausted": cigar_spec(count=10, seed=0,
+                                        exclusion_phi=2.95)}[case]
+        factor = {"count": 1.0, "1.5 count": 1.5,
+                  "count + 1": (spec.count + 0.5) / spec.count}[first]
+        monkeypatch.setattr(verify, "FIRST_BATCH", factor)
+        prof = CountingProfile(entry.profile)
+        try:
+            want = batched_draw(entry.problem, entry.profile, spec)
+        except SamplingExhausted as exc:
+            with pytest.raises(SamplingExhausted) as got:
+                draw_points(entry.problem, prof, spec)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(draw_points(entry.problem, prof, spec),
+                                  want)
+        assert prof.calls[0].size <= math.ceil(factor * spec.count)
+
+    def test_scaled_random_draws_are_uniform_draws(self):
+        # lo + (hi - lo) * random() is Generator.uniform(lo, hi) bit for bit.
+        gen = rng(17)
+        for case in range(200):
+            n = int(gen.integers(1, 7))
+            lo = gen.standard_normal(n) * 10.0 ** gen.integers(-6, 7, n)
+            hi = lo + gen.uniform(1e-3, 10.0, n) * 10.0 ** gen.integers(-6, 7,
+                                                                        n)
+            seed = int(gen.integers(0, 2 ** 63))
+            draws = int(gen.integers(1, 300))
+            a = np.random.Generator(np.random.Philox(key=seed))
+            b = np.random.Generator(np.random.Philox(key=seed))
+            assert np.array_equal(lo + (hi - lo) * a.random((draws, n)),
+                                  b.uniform(lo, hi, size=(draws, n)))
 
     @pytest.mark.parametrize("kind", ["reduced", "special", "node",
                                       "lorentz4"])
@@ -392,7 +456,8 @@ class TestSinglePass:
         assert report["oracle_gap"] is not None
         assert report == composed_report(p, prof, spec, 1e-9)
 
-    def test_evaluation_budget(self, integrated_cigar):
+    def test_evaluation_budget(self, integrated_cigar, monkeypatch):
+        monkeypatch.setattr(verify, "FIRST_BATCH", 1.0)
         p, prof = integrated_cigar
         counting = CountingProfile(prof)
         spec = cigar_spec(count=1000, seed=1)
@@ -409,6 +474,19 @@ class TestSinglePass:
         assert np.all(times == 1)
         xis = xi_values(p.ansatz, draw_points(p, prof, spec))
         assert np.all(np.isin(xis, values))
+
+    def test_default_evaluation_budget(self, integrated_cigar):
+        # About 81% of the box is accepted: the first batch of 1500 draws
+        # fills the sample in one screening pass, which evaluates the
+        # draws inside the profile's domain once each.
+        p, prof = integrated_cigar
+        counting = CountingProfile(prof)
+        spec = cigar_spec(count=1000, seed=1)
+        assert verify_profile(p, counting, spec, threshold=1e-9).passed
+        screened, stencils = counting.calls
+        assert 1000 <= screened.size <= 1500
+        assert stencils.size == 3 * 4 * 5 ** 2
+        assert len(np.unique(screened)) == screened.size
 
     @pytest.mark.parametrize("bad", [-1, 2.5, True])
     def test_oracle_points_rejected(self, bad):
